@@ -12,10 +12,13 @@
                the CI perf-trajectory step
    --json      additionally writes every recorded metric as machine-
                readable JSON (default file: BENCH.json)
-   --compare   diffs this run's cost metrics (keys suffixed -ms, -s,
-               -ns, -bytes) against a committed baseline JSON and
-               exits 1 on a regression past --threshold (default 20%,
-               with a per-unit absolute floor against timer jitter) *)
+   --compare   diffs this run's gated metrics (costs suffixed -ms, -s,
+               -ns, -bytes; rates suffixed -per-s) against a committed
+               baseline JSON and exits 1 on a regression past
+               --threshold (default 20%, with a per-unit absolute floor
+               against timer jitter)
+   --current   takes the metrics to compare from a bench JSON file
+               instead of running the benchmarks (tests the gate) *)
 
 let smoke = ref false
 
@@ -82,42 +85,54 @@ let wall f =
 
 let compare_baseline : string option ref = ref None
 
+let current_file : string option ref = ref None
+
 let threshold = ref 20.0
 
-(* Only cost metrics are gated (lower is better); a name is a cost
-   when it carries one of these unit suffixes.  Each class has an
-   absolute floor the excess must clear before the relative threshold
-   counts.  Allocation counts are deterministic for a deterministic
-   workload (the PERF legs additionally take the min over three
-   repetitions to shed one-off runtime housekeeping), so `-bytes` is
-   the precise, load-bearing gate at the relative threshold alone.
+(* Gated metrics are named by unit suffix.  Costs (lower is better)
+   carry -bytes, -ms, -ns or -s; rates (higher is better) carry -per-s,
+   which must be tested first since it also ends in -s.  Each class has
+   an absolute floor the change must clear before the relative
+   threshold counts.  Allocation counts are deterministic for a
+   deterministic workload (the PERF legs additionally take the min over
+   three repetitions to shed one-off runtime housekeeping), so `-bytes`
+   is the precise, load-bearing gate at the relative threshold alone.
    Wall-clock metrics on shared CI runners routinely jitter 2-3x on
    10-600 ms legs, so a timing metric must at least *double* past its
-   unit floor before it fails the build — timings catch catastrophes,
-   bytes catch representation regressions. *)
-let cost_floor name ~base =
-  let has suffix =
-    let n = String.length name and s = String.length suffix in
-    n >= s && String.sub name (n - s) s = suffix
-  in
-  if has "-bytes" then Some 4096.
-  else if has "-ms" then Some (Float.max 100. base)
-  else if has "-ns" then Some (Float.max 100_000. base)
-  else if has "-s" || has "_s" then Some (Float.max 1.0 base)
+   unit floor before it fails the build, and a rate must at least
+   halve — timings catch catastrophes, bytes catch representation
+   regressions.  A cost only fails by rising and a rate only by
+   falling, so a faster run never fails the gate. *)
+type gate = Cost of float | Rate of float
+
+let gate_of name ~base =
+  let has suffix = String.ends_with ~suffix name in
+  if has "-per-s" then Some (Rate (base /. 2.))
+  else if has "-bytes" then Some (Cost 4096.)
+  else if has "-ms" then Some (Cost (Float.max 100. base))
+  else if has "-ns" then Some (Cost (Float.max 100_000. base))
+  else if has "-s" || has "_s" then Some (Cost (Float.max 1.0 base))
   else None
 
-let compare_with_baseline path =
+let regressed gate ~base ~cur =
+  let t = 1. +. (!threshold /. 100.) in
+  match gate with
+  | Cost floor -> cur > base *. t && cur -. base > floor
+  | Rate floor -> cur *. t < base && base -. cur > floor
+
+(* The numeric metrics of a bench JSON document, by section. *)
+let load_sections path =
   let text =
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error e ->
-      Printf.eprintf "bench: cannot read baseline %s: %s\n" path e;
+      Printf.eprintf "bench: cannot read %s: %s\n" path e;
       exit 2
   in
   let doc =
     match Serve.Json.parse text with
     | Ok doc -> doc
     | Error e ->
-        Printf.eprintf "bench: baseline %s is not valid JSON: %s\n" path e;
+        Printf.eprintf "bench: %s is not valid JSON: %s\n" path e;
         exit 2
   in
   let num = function
@@ -125,11 +140,21 @@ let compare_with_baseline path =
     | Serve.Json.Float f -> Some f
     | _ -> None
   in
-  let base_sections =
-    match Serve.Json.mem "sections" doc with
-    | Some (Serve.Json.Obj secs) -> secs
-    | _ -> []
-  in
+  match Serve.Json.mem "sections" doc with
+  | Some (Serve.Json.Obj secs) ->
+      List.map
+        (fun (sec, fields) ->
+          ( sec,
+            match fields with
+            | Serve.Json.Obj fields ->
+                List.filter_map
+                  (fun (name, v) -> Option.map (fun v -> (name, v)) (num v))
+                  fields
+            | _ -> [] ))
+        secs
+  | _ -> []
+
+let compare_with_baseline path =
   let current s name =
     match List.assoc_opt s !metrics with
     | Some cell -> List.assoc_opt name !cell
@@ -139,24 +164,18 @@ let compare_with_baseline path =
   let regressions = ref [] in
   List.iter
     (fun (sec, fields) ->
-      match fields with
-      | Serve.Json.Obj fields ->
-          List.iter
-            (fun (name, v) ->
-              match num v with
-              | Some base when base > 0. -> (
-                  match cost_floor name ~base, current sec name with
-                  | Some floor, Some cur ->
-                      incr compared;
-                      if cur > base *. (1. +. (!threshold /. 100.))
-                         && cur -. base > floor
-                      then regressions := (sec, name, base, cur) :: !regressions
-                  | _ -> ())
-              | _ -> ())
-            fields
-      | _ -> ())
-    base_sections;
-  Format.printf "@.compared %d cost metrics against %s (threshold %.0f%%)@."
+      List.iter
+        (fun (name, base) ->
+          if base > 0. then
+            match gate_of name ~base, current sec name with
+            | Some gate, Some cur ->
+                incr compared;
+                if regressed gate ~base ~cur then
+                  regressions := (sec, name, base, cur) :: !regressions
+            | _ -> ())
+        fields)
+    (load_sections path);
+  Format.printf "@.compared %d gated metrics against %s (threshold %.0f%%)@."
     !compared path !threshold;
   match List.rev !regressions with
   | [] -> Format.printf "no regressions past threshold@."
@@ -164,7 +183,7 @@ let compare_with_baseline path =
       List.iter
         (fun (sec, name, base, cur) ->
           Printf.eprintf
-            "bench: REGRESSION %s/%s: %.6g -> %.6g (+%.0f%%)\n" sec name base
+            "bench: REGRESSION %s/%s: %.6g -> %.6g (%+.0f%%)\n" sec name base
             cur
             ((cur -. base) /. base *. 100.))
         regs;
@@ -621,6 +640,17 @@ let faults () =
     (Exploit.Fault_matrix.no_divergence reports)
     (Exploit.Fault_matrix.stable ())
 
+(* Timed corpus sweeps start from an empty lint memo, as a fresh
+   process would, so they time the linter (and the store), not memo
+   hits. *)
+let fresh_corpus_sweep () =
+  Store.Memo.reset Staticcheck.Linter.memo;
+  Staticcheck.Linter.corpus_sweep ()
+
+let fresh_supervised_sweep () =
+  Store.Memo.reset Staticcheck.Linter.memo;
+  Staticcheck.Linter.supervised_sweep ()
+
 let lint_sweep () =
   section "LINT -- abstract-interpretation linter over the mini-C corpus";
   let rows = Staticcheck.Linter.corpus_sweep () in
@@ -630,14 +660,14 @@ let resilience () =
   section "RESILIENCE -- supervision overhead and the chaos harness";
   let reps = if !smoke then 10 else 50 in
   (* warm-up, so neither side pays first-touch costs *)
-  ignore (Staticcheck.Linter.corpus_sweep ());
-  ignore (Staticcheck.Linter.supervised_sweep ());
+  ignore (fresh_corpus_sweep ());
+  ignore (fresh_supervised_sweep ());
   let (), raw =
-    wall (fun () -> for _ = 1 to reps do ignore (Staticcheck.Linter.corpus_sweep ()) done)
+    wall (fun () -> for _ = 1 to reps do ignore (fresh_corpus_sweep ()) done)
   in
   let (), sup =
     wall (fun () ->
-        for _ = 1 to reps do ignore (Staticcheck.Linter.supervised_sweep ()) done)
+        for _ = 1 to reps do ignore (fresh_supervised_sweep ()) done)
   in
   let overhead = (sup -. raw) /. raw *. 100. in
   Format.printf "fault-free corpus sweep, %d repetitions:@." reps;
@@ -977,7 +1007,7 @@ let serve_bench () =
 let store_bench () =
   section "STORE -- persistent result store (cold / warm / corrupt-degraded)";
   let reps = if !smoke then 5 else 20 in
-  let sweep () = ignore (Staticcheck.Linter.corpus_sweep ()) in
+  let sweep () = ignore (fresh_corpus_sweep ()) in
   let timed f =
     let (), t = wall (fun () -> for _ = 1 to reps do f () done) in
     t /. float_of_int reps
@@ -1506,11 +1536,11 @@ let substrate_tests =
            Staticcheck.Linter.lint ~config:Staticcheck.Linter.corpus_config
              Minic.Corpus.tTflag_vulnerable));
     Test.make ~name:"lint/corpus-sweep"
-      (stage (fun () -> Staticcheck.Linter.corpus_sweep ()));
+      (stage (fun () -> fresh_corpus_sweep ()));
     Test.make ~name:"resilience/raw-sweep"
-      (stage (fun () -> Staticcheck.Linter.corpus_sweep ()));
+      (stage (fun () -> fresh_corpus_sweep ()));
     Test.make ~name:"resilience/supervised-sweep"
-      (stage (fun () -> Staticcheck.Linter.supervised_sweep ()));
+      (stage (fun () -> fresh_supervised_sweep ()));
     Test.make ~name:"resilience/retry-schedule"
       (stage (fun () -> Resilience.Retry.delays Resilience.Retry.default));
     Test.make ~name:"resilience/breaker-trip-cycle"
@@ -1560,10 +1590,12 @@ let usage () =
     "usage: bench [--smoke] [--json [FILE]] [--compare FILE] [--threshold PCT]\n\
     \  --smoke          fast subset (figure 1, lint sweep, resilience, PAR, OBS, SERVE, STORE, PERF, CORPUS)\n\
     \  --json [FILE]    also write metrics as JSON (default BENCH.json)\n\
-    \  --compare FILE   diff this run's cost metrics (-ms/-s/-bytes keys)\n\
+    \  --compare FILE   diff this run's gated metrics (-ms/-s/-bytes costs,\n\
+    \                   -per-s rates)\n\
     \                   against a committed baseline JSON; exit 1 on any\n\
     \                   regression past the threshold\n\
-    \  --threshold PCT  regression tolerance for --compare (default 20)";
+    \  --threshold PCT  regression tolerance for --compare (default 20)\n\
+    \  --current FILE   compare FILE's metrics instead of running the benchmarks";
   exit 2
 
 let parse_argv () =
@@ -1584,6 +1616,9 @@ let parse_argv () =
     | "--compare" :: _ ->
         prerr_endline "bench: --compare needs a baseline file";
         usage ()
+    | "--current" :: path :: rest ->
+        current_file := Some path;
+        go rest
     | "--threshold" :: pct :: rest -> (
         match float_of_string_opt pct with
         | Some p when p >= 0. ->
@@ -1599,8 +1634,7 @@ let parse_argv () =
   in
   go (List.tl (Array.to_list Sys.argv))
 
-let () =
-  parse_argv ();
+let run_sections () =
   if !smoke then begin
     fig1 ();
     lint_sweep ();
@@ -1644,8 +1678,16 @@ let () =
     perf_bench ();
     corpus_bench ();
     run_benchmarks ()
-  end;
-  (match !json_out with Some path -> write_json path | None -> ());
+  end
+
+let () =
+  parse_argv ();
+  (match !current_file with
+   | Some path ->
+       metrics := List.map (fun (sec, fields) -> (sec, ref fields)) (load_sections path)
+   | None ->
+       run_sections ();
+       Option.iter write_json !json_out);
   Par.teardown ();
   (match !compare_baseline with
    | Some path -> compare_with_baseline path

@@ -417,6 +417,9 @@ let disk_run_one ~seed:_ plan =
     r
   in
   let post_disk = Store.Disk.open_ ~dir in
+  (* the honest run stands in for a fresh process: it must read the
+     repaired store, not the reference sweep's remembered reports *)
+  Store.Memo.reset Staticcheck.Linter.memo;
   let post_json, post_repair =
     Store.Handle.with_store (Some post_disk) (fun () ->
         let j =

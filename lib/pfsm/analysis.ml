@@ -18,43 +18,28 @@ type report = {
    image (closures included).  Sound because [Model.run] is pure —
    predicates, actions and effects are arithmetic over the env, with
    no fault-seam calls — so equal inputs always yield the equal trace,
-   installed injector or not.  Hashconsing ([Primitive.make] interns
-   every predicate) makes the marshal image's sharing a function of
-   structure, so two independently built but identical models collide
-   on the same key.  Model digests are additionally cached by physical
-   identity: a model is built once and analyzed against many
-   scenarios, so the expensive half of the key is paid once per model
-   and a warm lookup costs only the (small) scenario digest.
+   installed injector or not: the table is [Seam_free].  Hashconsing
+   ([Primitive.make] interns every predicate) makes the marshal image's
+   sharing a function of structure, so two independently built but
+   identical models collide on the same key.  Model digests are
+   additionally cached by physical identity: a model is built once and
+   analyzed against many scenarios, so the expensive half of the key is
+   paid once per model and a warm lookup costs only the (small)
+   scenario digest.  The compute-once table itself is [Store.Memo]. *)
 
-   The cache is compute-once: the first caller of a key publishes a
-   [Computing] marker and evaluates outside the lock; concurrent
-   callers of the same key block on the condvar instead of recomputing.
-   That keeps the counters deterministic under any scheduling:
-   [misses] = distinct keys, [hits] = lookups − misses. *)
+type memo_stats = Store.Memo.stats = { lookups : int; hits : int; misses : int }
 
-type memo_stats = { lookups : int; hits : int; misses : int }
-
-type memo_cell = Computing | Done of Trace.t
-
-let memo_lock = Mutex.create ()
-let memo_cond = Condition.create ()
-let memo_table : (string, memo_cell) Hashtbl.t = Hashtbl.create 512
-let memo_lookups = ref 0
-let memo_hits = ref 0
-let memo_misses = ref 0
+let memo : Trace.t Store.Memo.t =
+  Store.Memo.create ~metrics:"pfsm.memo" ~kernel:Store.Memo.Seam_free ()
 
 let analyze_allocs = Obs.Allocs.scope "pfsm.analyze"
-
-let m_lookups = Obs.Metrics.counter "pfsm.memo.lookups"
-let m_hits = Obs.Metrics.counter "pfsm.memo.hits"
-let m_misses = Obs.Metrics.counter "pfsm.memo.misses"
 
 (* Identity-keyed model-digest cache, bounded.
 
    The old shape — an unbounded assoc list — retained every model ever
    digested for the life of the process (a GC leak across chaos/bench
    sweeps, which build fresh models per leg) and scanned O(n) under
-   [memo_lock].  This is a fixed-capacity FIFO ring: an eviction only
+   the lock.  This is a fixed-capacity FIFO ring: an eviction only
    costs a recompute of that model's digest, never a wrong answer, so
    correctness and determinism are unaffected by the bound. *)
 
@@ -62,19 +47,18 @@ let digest_cache_capacity = 64
 
 type digest_slot = { d_model : Model.t; d_digest : string }
 
+let digest_lock = Mutex.create ()
+
 let digest_ring : digest_slot option array =
   Array.make digest_cache_capacity None
 
-let digest_next = ref 0 (* next insertion slot, under [memo_lock] *)
+let digest_next = ref 0 (* next insertion slot, under [digest_lock] *)
 let digest_evictions = ref 0
 
 type digest_cache_stats = { entries : int; capacity : int; evictions : int }
 
 let digest_cache_stats () =
-  Mutex.lock memo_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
+  Mutex.protect digest_lock (fun () ->
       let entries =
         Array.fold_left
           (fun acc s -> match s with Some _ -> acc + 1 | None -> acc)
@@ -94,20 +78,11 @@ let digest_find_locked model =
   !found
 
 let model_digest model =
-  let cached =
-    Mutex.lock memo_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock memo_lock)
-      (fun () -> digest_find_locked model)
-  in
-  match cached with
+  match Mutex.protect digest_lock (fun () -> digest_find_locked model) with
   | Some d -> d
   | None ->
       let d = Digest.string (Marshal.to_string model [ Marshal.Closures ]) in
-      Mutex.lock memo_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock memo_lock)
-        (fun () ->
+      Mutex.protect digest_lock (fun () ->
           (* a duplicate insert under a race is harmless (same digest) *)
           if digest_find_locked model = None then begin
             let i = !digest_next in
@@ -117,12 +92,11 @@ let model_digest model =
           end);
       d
 
-let memo_keys model env =
-  let md = model_digest model in
-  let ed = Digest.string (Marshal.to_string env [ Marshal.Closures ]) in
-  (* in-memory key is the raw 32 bytes; the persistent key is its hex
-     spelling (store keys must be lowercase hex) *)
-  (md ^ ed, Digest.to_hex md ^ Digest.to_hex ed)
+(* hex spelling: the same key serves the memory tier and the store
+   (store keys must be lowercase hex) *)
+let memo_key model env =
+  Digest.to_hex (model_digest model)
+  ^ Digest.to_hex (Digest.string (Marshal.to_string env [ Marshal.Closures ]))
 
 (* Persistent tier: when the CLI has installed an ambient store, an
    in-memory miss consults it before computing and a computed trace is
@@ -131,61 +105,13 @@ let memo_keys model env =
    store), a failed write leaves the run on the in-memory tier. *)
 let store_tag = "pfsm-trace"
 
-let memo_stats () =
-  Mutex.lock memo_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
-      { lookups = !memo_lookups; hits = !memo_hits; misses = !memo_misses })
+let memo_stats () = Store.Memo.stats memo
 
-let memo_reset () =
-  Mutex.lock memo_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock memo_lock)
-    (fun () ->
-      Hashtbl.reset memo_table;
-      memo_lookups := 0;
-      memo_hits := 0;
-      memo_misses := 0)
+let memo_reset () = Store.Memo.reset memo
 
 let run_memo model ~env =
-  let key, key_hex = memo_keys model env in
-  Mutex.lock memo_lock;
-  incr memo_lookups;
-  Obs.Metrics.incr m_lookups;
-  let rec acquire () =
-    match Hashtbl.find_opt memo_table key with
-    | Some (Done trace) ->
-        incr memo_hits;
-        Obs.Metrics.incr m_hits;
-        Mutex.unlock memo_lock;
-        trace
-    | Some Computing ->
-        Condition.wait memo_cond memo_lock;
-        acquire ()
-    | None -> (
-        incr memo_misses;
-        Obs.Metrics.incr m_misses;
-        Hashtbl.replace memo_table key Computing;
-        Mutex.unlock memo_lock;
-        match
-          Store.Handle.cached ~tag:store_tag ~key:key_hex (fun () ->
-              Model.run model ~env)
-        with
-        | trace ->
-            Mutex.lock memo_lock;
-            Hashtbl.replace memo_table key (Done trace);
-            Condition.broadcast memo_cond;
-            Mutex.unlock memo_lock;
-            trace
-        | exception e ->
-            Mutex.lock memo_lock;
-            Hashtbl.remove memo_table key;
-            Condition.broadcast memo_cond;
-            Mutex.unlock memo_lock;
-            raise e)
-  in
-  acquire ()
+  Store.Memo.cached memo ~tag:store_tag ~key:(memo_key model env) (fun () ->
+      Model.run model ~env)
 
 let analyze ?(par = false) ?memo model ~scenarios =
   (* when the CLI installed a persistent store, memoize by default so

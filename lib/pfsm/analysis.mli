@@ -35,23 +35,23 @@ val analyze : ?par:bool -> ?memo:bool -> Model.t -> scenarios:Env.t list -> repo
     structure-determined, so independently constructed but identical
     models share entries.  Model digests are cached by physical
     identity (a model is analyzed against many scenarios), so a warm
-    lookup pays only the small scenario digest.  Compute-once:
-    concurrent lookups of one key block rather than recompute, which
-    keeps the counters deterministic under any scheduling
-    ([misses] = distinct keys ever computed). *)
+    lookup pays only the small scenario digest.  The table is a
+    {!Store.Memo} of a seam-free kernel: compute-once, deterministic
+    counters, served under any injector. *)
 
 val run_memo : Model.t -> env:Env.t -> Trace.t
 (** Memoized [Model.run].  When an ambient {!Store.Handle} is
-    installed, an in-memory miss consults the persistent store (hex
-    spelling of the same key) before computing, and computed traces
-    are written back — so a warm store makes reruns recompute nothing
-    even across processes.  Store corruption or write failure degrades
-    silently to compute; a sim-active fault plan bypasses the store
-    entirely (its results must not poison honest runs). *)
+    installed, an in-memory miss consults the persistent store (same
+    key) before computing, and computed traces are written back — so
+    a warm store makes reruns recompute nothing even across processes.
+    Store corruption or write failure degrades silently to compute; a
+    sim-active fault plan bypasses the store entirely (its results
+    must not poison honest runs). *)
 
-type memo_stats = { lookups : int; hits : int; misses : int }
+type memo_stats = Store.Memo.stats = { lookups : int; hits : int; misses : int }
 
 val memo_stats : unit -> memo_stats
+(** Also counted in the [pfsm.memo.{lookups,hits,misses}] metrics. *)
 
 type digest_cache_stats = { entries : int; capacity : int; evictions : int }
 

@@ -40,6 +40,18 @@ let scenarios_of = function
         Apps.Rpc_statd.benign_scenario ]
   | other -> reject "unknown application: %s" other
 
+(* An app's (model, scenarios) pair, built once: the model's physical
+   identity is then stable, so [Pfsm.Analysis.run_memo]'s identity-keyed
+   digest cache hits instead of re-marshalling a fresh model on every
+   request.  App setup runs on the simulated machine, so the table
+   stands aside under an injector. *)
+let builds : (Pfsm.Model.t * Pfsm.Env.t list) Store.Memo.t =
+  Store.Memo.create ~kernel:Store.Memo.Touches_seams ()
+
+let build app =
+  if not (List.mem app apps) then reject "unknown application: %s" app;
+  Store.Memo.find builds app (fun () -> (model_of app, scenarios_of app))
+
 (* Exploit.Driver groups are keyed by display name; requests use the
    CLI app names. *)
 let row_group_of = function
@@ -93,8 +105,7 @@ let lint ~spend target =
           lint_result ~target [ Staticcheck.Linter.lint_cached ~config name func ])
 
 let analyze ~spend app =
-  let model = model_of app in
-  let scenarios = scenarios_of app in
+  let model, scenarios = build app in
   List.iter (fun _ -> spend 1) scenarios;
   let report = Pfsm.Analysis.analyze ~memo:true model ~scenarios in
   Json.Obj
@@ -114,13 +125,8 @@ let analyze ~spend app =
 
 let exploit ~spend app =
   let group = row_group_of app in
-  let rows_fn =
-    match List.assoc_opt group Exploit.Driver.app_row_groups with
-    | Some f -> f
-    | None -> reject "unknown application: %s" app
-  in
   spend 1;
-  let rows = rows_fn () in
+  let rows = Exploit.Driver.group_rows group in
   List.iter (fun _ -> spend 1) rows;
   Json.Obj
     [ ("app", Json.Str app);

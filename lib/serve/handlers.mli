@@ -30,6 +30,12 @@ val scenarios_of : string -> Pfsm.Env.t list
 (** The canned exploit + benign scenarios for an app.
     @raise Resilience.Quarantine.Reject on an unknown name. *)
 
+val builds : (Pfsm.Model.t * Pfsm.Env.t list) Store.Memo.t
+(** [analyze]'s per-app [(model_of app, scenarios_of app)] pair,
+    built once per process so the model's identity is stable
+    (bypassed while an injector is installed).  An unknown app is
+    rejected before the lookup and leaves no entry. *)
+
 val run : attempt:int -> fuel:int -> Protocol.work -> outcome * int
 (** Execute one attempt of a work request under [fuel]; the [int] is
     the fuel actually spent (the scheduler advances virtual time by

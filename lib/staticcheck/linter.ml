@@ -13,24 +13,32 @@ type report = {
 let m_functions = Obs.Metrics.counter "staticcheck.functions"
 let m_findings = Obs.Metrics.counter "staticcheck.findings"
 
-let lint ?(config = Absint.default_config) (f : A.func) =
-  Obs.Span.with_span ~cat:"staticcheck" ~args:[ ("func", f.A.name) ]
-    ("lint:" ^ f.A.name)
-  @@ fun () ->
-  Obs.Metrics.incr m_functions;
+(* The kernel: analyze, validate and summarise one function. *)
+let compute ~config (f : A.func) =
   let result = Absint.analyze ~config f in
   let cfg = result.Absint.cfg in
-  let findings =
-    List.map (Validate.finding ~config ~cfg f) result.Absint.raws
-  in
-  Obs.Metrics.add m_findings (List.length findings);
   { func = f;
-    findings;
+    findings = List.map (Validate.finding ~config ~cfg f) result.Absint.raws;
     nodes = Cfg.node_count cfg;
     edges = Cfg.edge_count cfg;
     back_edges = Cfg.back_edge_count cfg;
     loop_iterations = result.Absint.loop_iterations;
     widenings = result.Absint.widenings }
+
+(* One [lint:<func>] span and one count per request for a report,
+   around whichever tier answers it, so traces and metrics read the
+   same whether the report was computed, remembered or read from the
+   store. *)
+let observed (f : A.func) report =
+  Obs.Span.with_span ~cat:"staticcheck" ~args:[ ("func", f.A.name) ]
+    ("lint:" ^ f.A.name)
+  @@ fun () ->
+  Obs.Metrics.incr m_functions;
+  let r = report () in
+  Obs.Metrics.add m_findings (List.length r.findings);
+  r
+
+let lint ?(config = Absint.default_config) f = observed f (fun () -> compute ~config f)
 
 (* functions lint independently; ordered Par reduction keeps the
    report list identical to the sequential one *)
@@ -97,20 +105,25 @@ let row_ok expected (r : report) =
 let corpus_config =
   { Absint.default_config with Absint.arrays = Minic.Corpus.tTflag_arrays }
 
-(* Persistent row cache: a variant's report is a pure function of
-   (label, function, config), so its digest keys the report in the
-   ambient store.  Expectations are re-evaluated against the cached
-   report — only the analysis itself is persisted, so editing the
-   ground truth never serves a stale verdict. *)
+(* Row cache: a variant's report is a pure function of (label,
+   function, config) when no injector is installed, so its digest keys
+   the report in memory and in the ambient store.  Expectations are
+   re-evaluated against the cached report — only the analysis itself is
+   cached, so editing the ground truth never serves a stale verdict.
+   Validation replays findings through [Minic.Interp], which touches
+   fault seams, so the memory tier stands aside under an injector. *)
 let store_tag = "lint-report"
+
+let memo : report Store.Memo.t = Store.Memo.create ~kernel:Store.Memo.Touches_seams ()
 
 let report_key ~config label f =
   Digest.to_hex
     (Digest.string (Marshal.to_string (label, f, config) [ Marshal.Closures ]))
 
 let lint_cached ~config label f =
-  Store.Handle.cached ~tag:store_tag ~key:(report_key ~config label f)
-    (fun () -> lint ~config f)
+  observed f (fun () ->
+      Store.Memo.cached memo ~tag:store_tag ~key:(report_key ~config label f) (fun () ->
+          compute ~config f))
 
 let lint_row ~config (label, f) =
   let expected =

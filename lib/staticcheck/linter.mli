@@ -22,10 +22,18 @@ type report = {
 val lint : ?config:Absint.config -> Minic.Ast.func -> report
 
 val lint_cached : config:Absint.config -> string -> Minic.Ast.func -> report
-(** [lint] routed through the ambient persistent store (when one is
-    installed) under the digest of [label x function x config]; a
-    verified record short-circuits the analysis, anything unsound
-    degrades to a fresh [lint] whose report is written back. *)
+(** [lint] behind {!memo} and the ambient persistent store (when one
+    is installed), both keyed by the digest of
+    [label x function x config]: a remembered report or a verified
+    record short-circuits the analysis, anything unsound degrades to a
+    fresh analysis whose report is written back.  Every call emits the
+    [lint:<func>] span and the [staticcheck.*] counts, whichever tier
+    answers. *)
+
+val memo : report Store.Memo.t
+(** The in-memory tier of {!lint_cached}.  Validation replays findings
+    through the interpreter, which touches fault seams, so the table is
+    bypassed while an injector is installed. *)
 
 val lint_program : ?config:Absint.config -> Minic.Ast.func list -> report list
 

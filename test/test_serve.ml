@@ -273,6 +273,162 @@ let test_soak_stable () =
   Alcotest.(check bool) "soak: same seed, byte-identical JSON" true
     (Chaos.soak_stable ~plans:Fault.Catalog.smoke ())
 
+(* ---- the kernel memos --------------------------------------------- *)
+
+module M = Store.Memo
+module H = Serve.Handlers
+
+(* The three kernel tables serve puts in front of lint, exploit and the
+   per-app model build. *)
+let lookups () =
+  List.map
+    (fun l -> l.M.lookups)
+    [ M.stats Staticcheck.Linter.memo; M.stats Exploit.Driver.group_memo;
+      M.stats H.builds ]
+
+(* Every app (analyze and exploit), every corpus variant and the whole
+   corpus, each twice in separate waves, a wave of 8 identical requests
+   (concurrent waiters on one key), fuel-starved repeats, and stats. *)
+let memo_script =
+  let str s = J.to_string (J.Str s) in
+  let bodies =
+    List.concat_map
+      (fun app ->
+        [ Printf.sprintf {|"kind":"analyze","app":%s|} (str app);
+          Printf.sprintf {|"kind":"exploit","app":%s|} (str app) ])
+      H.apps
+    @ List.map
+        (fun (v, _) -> Printf.sprintf {|"kind":"lint","target":%s|} (str v))
+        Minic.Corpus.all
+    @ [ {|"kind":"lint","target":"corpus"|};
+        {|"kind":"analyze","app":"nullhttpd","fuel":2|};
+        {|"kind":"exploit","app":"rpcstatd","fuel":3|};
+        {|"kind":"lint","target":"corpus","fuel":4|} ]
+  in
+  let n = ref 0 in
+  let waves_of bodies =
+    List.concat
+      (List.mapi
+         (fun i body ->
+           incr n;
+           Printf.sprintf {|{"id":"m%d",%s}|} !n body
+           :: (if i mod 8 = 7 then [ {|{"kind":"flush"}|} ] else []))
+         bodies)
+    @ [ {|{"kind":"flush"}|} ]
+  in
+  waves_of bodies @ waves_of bodies
+  @ waves_of (List.init 8 (fun _ -> {|"kind":"analyze","app":"sendmail"|}))
+  @ [ {|{"id":"s1","kind":"stats"}|}; {|{"kind":"shutdown"}|} ]
+
+let works =
+  List.filter_map
+    (fun line ->
+      match P.parse ~line_id:"t" line with
+      | Ok (P.Work { fuel; work; _ }) -> Some (Option.value ~default:1000 fuel, work)
+      | _ -> None)
+    memo_script
+
+(* every request once; faults a plan injects are not this test's concern *)
+let attempt_all () =
+  List.iter
+    (fun (fuel, work) -> try ignore (H.run ~attempt:1 ~fuel work) with _ -> ())
+    works
+
+let test_memo_cold_equals_warm () =
+  (* per request: a run with every memo reset first equals a warm run *)
+  let cold =
+    List.map
+      (fun (fuel, work) ->
+        M.reset_all ();
+        H.run ~attempt:1 ~fuel work)
+      works
+  in
+  let warm = List.map (fun (fuel, work) -> H.run ~attempt:1 ~fuel work) works in
+  Alcotest.(check bool) "every outcome and fuel count equal" true (cold = warm)
+
+let test_memo_stream_identity () =
+  (* the reference computes every request: the seam-touching tables
+     stand aside under an injector, even one that injects nothing *)
+  let cold =
+    Fault.Hooks.with_plan Fault.Plan.none (fun () ->
+        M.reset_all ();
+        fst (run_with memo_script))
+  in
+  ignore (run_with memo_script);
+  List.iter
+    (fun j ->
+      let warm = with_jobs j (fun () -> fst (run_with memo_script)) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "warm stream at -j %d = cold stream" j)
+        cold warm)
+    [ 1; 2; 4 ];
+  let s = M.stats Staticcheck.Linter.memo in
+  Alcotest.(check bool) "the lint memo served hits" true (s.M.hits > 0)
+
+let test_memo_trace_identity () =
+  (* spans wrap the lookups, so a run that computes its kernels traces
+     the same as one served from memory *)
+  let traced () =
+    Obs.Trace.start ();
+    ignore (run_with memo_script);
+    Obs.Trace.to_jsonl (Obs.Trace.drain ())
+  in
+  M.reset_all ();
+  let cold = traced () in
+  Alcotest.(check string) "warm trace = cold trace" cold (traced ())
+
+let test_memo_bypass_under_injector () =
+  M.reset_all ();
+  attempt_all ();
+  let before = lookups () and pfsm_before = Pfsm.Analysis.memo_stats () in
+  List.iter
+    (fun plan -> Fault.Hooks.with_plan plan attempt_all)
+    (Fault.Plan.none :: Fault.Catalog.all);
+  Alcotest.(check (list int)) "kernel table lookups unmoved" before (lookups ());
+  Alcotest.(check bool) "the seam-free trace memo still serves" true
+    ((Pfsm.Analysis.memo_stats ()).Pfsm.Analysis.lookups
+     > pfsm_before.Pfsm.Analysis.lookups)
+
+let test_memo_unknown_leaves_no_entry () =
+  M.reset_all ();
+  List.iter
+    (fun work ->
+      match H.run ~attempt:1 ~fuel:100 work with
+      | _ -> Alcotest.fail "unknown name accepted"
+      | exception Resilience.Quarantine.Reject _ -> ())
+    [ P.Analyze { app = "nonesuch" }; P.Exploit { app = "nonesuch" };
+      P.Lint { target = "nonesuch" } ];
+  Alcotest.check_raises "unknown exploit group"
+    (Invalid_argument "Exploit.Driver.group_rows: unknown group nonesuch")
+    (fun () -> ignore (Exploit.Driver.group_rows "nonesuch"));
+  Alcotest.(check (list int)) "no entries"
+    [ 0; 0; 0 ]
+    [ M.length Staticcheck.Linter.memo; M.length Exploit.Driver.group_memo;
+      M.length H.builds ]
+
+(* [Pfsm.Analysis.run_memo] serves traces under any injector because
+   [Model.run] calls no fault seam: every app's scenarios, run under a
+   plan with every seam at 100%, inject nothing and trace the same. *)
+let every_seam =
+  { Fault.Plan.name = "every-seam"; seed = 1; benign = false;
+    heap_fail_percent = Some 100; recv_max_chunk = Some 1;
+    socket_reset_after = Some 0; fs_deny_percent = Some 100;
+    sched_drop_percent = Some 100; sched_dup_percent = Some 100;
+    bitflip_percent = Some 100; io_torn_percent = Some 100;
+    io_flip_percent = Some 100; io_error_percent = Some 100;
+    io_crash_percent = Some 100 }
+
+let test_model_run_seam_free () =
+  List.iter
+    (fun app ->
+      let model = H.model_of app and scenarios = H.scenarios_of app in
+      let run () = List.map (fun env -> Pfsm.Model.run model ~env) scenarios in
+      let plain = run () in
+      let faulted, events = Fault.Hooks.run every_seam run in
+      Alcotest.(check int) (app ^ ": no injector events") 0 (List.length events);
+      Alcotest.(check bool) (app ^ ": same traces") true (plain = faulted))
+    H.apps
+
 (* ---- suite -------------------------------------------------------- *)
 
 let () =
@@ -295,4 +451,17 @@ let () =
          Alcotest.test_case "percentiles" `Quick test_latency_percentiles ]);
       ("soak",
        [ Alcotest.test_case "smoke contract" `Quick test_soak_smoke;
-         Alcotest.test_case "stable" `Quick test_soak_stable ]) ]
+         Alcotest.test_case "stable" `Quick test_soak_stable ]);
+      ("memo",
+       [ Alcotest.test_case "cold request = warm request" `Quick
+           test_memo_cold_equals_warm;
+         Alcotest.test_case "warm stream = cold stream at every -j" `Quick
+           test_memo_stream_identity;
+         Alcotest.test_case "warm trace = cold trace" `Quick
+           test_memo_trace_identity;
+         Alcotest.test_case "bypassed under an injector" `Quick
+           test_memo_bypass_under_injector;
+         Alcotest.test_case "unknown names leave no entry" `Quick
+           test_memo_unknown_leaves_no_entry;
+         Alcotest.test_case "Model.run is seam-free" `Quick
+           test_model_run_seam_free ]) ]

@@ -331,8 +331,10 @@ let prop_faulted_store_repairs_clean =
 let test_warm_sweep_byte_identical () =
   (* the store must never change results: a store-less sweep, a cold
      store-backed sweep, and a warm one are byte-identical, and the
-     warm pass recomputes nothing *)
+     warm pass recomputes nothing; each sweep starts from an empty
+     memory tier, as a fresh process would, so it reads the store *)
   let sweep () =
+    S.Memo.reset Staticcheck.Linter.memo;
     Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())
   in
   let reference = sweep () in
@@ -359,6 +361,7 @@ let test_warm_sweep_jobs_identical () =
       let prev = Par.jobs () in
       let sweep jobs =
         Par.set_jobs jobs;
+        S.Memo.reset Staticcheck.Linter.memo;
         Staticcheck.Linter.sweep_to_json (Staticcheck.Linter.corpus_sweep ())
       in
       Fun.protect ~finally:(fun () -> Par.set_jobs prev)
@@ -370,6 +373,56 @@ let test_warm_sweep_jobs_identical () =
               Alcotest.(check string) "-j4 byte-identical on warm store" j1 j4)))
 
 (* ---- suite -------------------------------------------------------- *)
+
+(* ---- the in-memory compute-once tier ------------------------------ *)
+
+let test_memo_compute_once () =
+  (* four domains race on one key: one computation, three hits *)
+  let t = S.Memo.create ~kernel:S.Memo.Seam_free () in
+  let computed = Atomic.make 0 and started = Atomic.make 0 in
+  let compute () =
+    Atomic.incr computed;
+    (* hold the key until every domain has set out to look it up *)
+    while Atomic.get started < 4 do Domain.cpu_relax () done;
+    42
+  in
+  let ds =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr started;
+            S.Memo.find t "k" compute))
+  in
+  Alcotest.(check (list int)) "every lookup sees the value" [ 42; 42; 42; 42 ]
+    (List.map Domain.join ds);
+  Alcotest.(check int) "computed once" 1 (Atomic.get computed);
+  let st = S.Memo.stats t in
+  Alcotest.(check (list int)) "lookups / hits / misses" [ 4; 3; 1 ]
+    [ st.S.Memo.lookups; st.S.Memo.hits; st.S.Memo.misses ]
+
+let test_memo_raise_leaves_no_entry () =
+  let t : int S.Memo.t = S.Memo.create ~kernel:S.Memo.Seam_free () in
+  Alcotest.check_raises "the exception propagates" Exit (fun () ->
+      ignore (S.Memo.find t "k" (fun () -> raise Exit)));
+  Alcotest.(check int) "no entry" 0 (S.Memo.length t);
+  Alcotest.(check int) "the next lookup computes" 7 (S.Memo.find t "k" (fun () -> 7));
+  Alcotest.(check int) "and is remembered" 7 (S.Memo.find t "k" (fun () -> 8))
+
+let test_memo_kernel_policy () =
+  let free = S.Memo.create ~kernel:S.Memo.Seam_free () in
+  let touching = S.Memo.create ~kernel:S.Memo.Touches_seams () in
+  let under_injector () =
+    Fault.Hooks.with_plan Fault.Plan.none (fun () ->
+        (S.Memo.find free "k" (fun () -> 1), S.Memo.find touching "k" (fun () -> 1)))
+  in
+  ignore (under_injector ());
+  ignore (under_injector ());
+  Alcotest.(check int) "seam-free: served under an injector" 1
+    (S.Memo.stats free).S.Memo.hits;
+  Alcotest.(check int) "seam-touching: bypassed, counters unmoved" 0
+    (S.Memo.stats touching).S.Memo.lookups;
+  Alcotest.(check int) "seam-touching: no entry" 0 (S.Memo.length touching);
+  S.Memo.reset_all ();
+  Alcotest.(check int) "reset_all empties every table" 0 (S.Memo.length free)
 
 let () =
   Alcotest.run "store"
@@ -384,6 +437,12 @@ let () =
          Alcotest.test_case "degrades on corruption" `Quick
            test_disk_degrades_on_corruption ]);
       ("codec", [ Alcotest.test_case "tagged marshal" `Quick test_codec ]);
+      ("memo",
+       [ Alcotest.test_case "compute-once across domains" `Quick
+           test_memo_compute_once;
+         Alcotest.test_case "a raise leaves no entry" `Quick
+           test_memo_raise_leaves_no_entry;
+         Alcotest.test_case "kernel bypass policy" `Quick test_memo_kernel_policy ]);
       ("handle",
        [ Alcotest.test_case "cached flow" `Quick test_handle_cached;
          Alcotest.test_case "sim-plan bypass" `Quick
