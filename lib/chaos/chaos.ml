@@ -42,6 +42,13 @@ let matrix_items () =
 
 let curated_csv = lazy (Vulndb.Csv.of_database (Vulndb.Seed_data.database ()))
 
+(* [Fault.Hooks.run] for a caller that only counts the events: the
+   injector's log is never expanded into a list. *)
+let run_counted plan f =
+  let inj = Fault.Injector.create plan in
+  let result = Fault.Hooks.with_injector inj f in
+  (result, Fault.Injector.event_count inj)
+
 let run_one ~config ~csv plan =
   Obs.Span.with_span ~cat:"chaos" ("plan:" ^ plan.Fault.Plan.name) @@ fun () ->
   let matrix_expected = List.length Exploit.Consistency.app_groups + 1 in
@@ -50,7 +57,7 @@ let run_one ~config ~csv plan =
     Vulndb.Database.size (Vulndb.Seed_data.database ())
   in
   let legs, events =
-    Fault.Hooks.run plan (fun () ->
+    run_counted plan (fun () ->
         let matrix =
           Supervisor.run ~label:"chaos-matrix" ~config (matrix_items ())
         in
@@ -76,7 +83,7 @@ let run_one ~config ~csv plan =
           { leg_name = "ingest"; expected_items = ingest_expected;
             outcome = ingest } ])
   in
-  { plan; events = List.length events; legs }
+  { plan; events; legs }
 
 let run ?(seed = default_seed) ?(plans = Fault.Catalog.all)
     ?(config = Supervisor.default_config) ?csv () =
@@ -254,11 +261,11 @@ let soak ?(seed = default_seed) ?(plans = Fault.Catalog.all)
              Serve.Server.seed = seed lxor Hashtbl.hash plan.Fault.Plan.name }
          in
          let (lines, summary), events =
-           Fault.Hooks.run plan (fun () ->
+           run_counted plan (fun () ->
                Serve.Server.run_script ~config script)
          in
          { soak_plan = plan;
-           soak_events = List.length events;
+           soak_events = events;
            lines_emitted = List.length lines;
            summary })
       plans
@@ -386,7 +393,7 @@ let rec rm_rf path =
   else Store.Io.remove_if_exists path
 
 (* One plan: an honest reference sweep, then a cold and a warm sweep
-   against a fresh store inside [Fault.Hooks.run] — every store write
+   against a fresh store under the plan's injector — every store write
    subject to the plan's io knobs, every corrupted record degrading to
    recompute — then [fsck ~repair:true] and one honest warm run over
    the repaired store.  The robustness contract is that both faulted
@@ -399,7 +406,7 @@ let disk_run_one ~seed:_ plan =
   let dir = fresh_store_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let (faulted_jsons, disk_store), events =
-    Fault.Hooks.run plan (fun () ->
+    run_counted plan (fun () ->
         let disk = Store.Disk.open_ ~dir in
         Store.Handle.with_store (Some disk) (fun () ->
             let cold =
@@ -428,7 +435,7 @@ let disk_run_one ~seed:_ plan =
         (j, Store.Disk.stats post_disk))
   in
   { disk_plan = plan;
-    disk_events = List.length events;
+    disk_events = events;
     disk_store;
     sweep_matches = List.for_all (String.equal reference) faulted_jsons;
     fsck;

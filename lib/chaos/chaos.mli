@@ -1,8 +1,8 @@
 (** The chaos harness: every {!Fault.Catalog} plan replayed against
     the supervised pipeline, end to end.
 
-    For each plan, three legs of the analysis pipeline run inside
-    {!Fault.Hooks.run}: the model-vs-simulation {e matrix} (one item
+    For each plan, three legs of the analysis pipeline run under the
+    plan's injector ({!Fault.Hooks.with_injector}): the model-vs-simulation {e matrix} (one item
     per application plus the Section-6 lemma), the static-analysis
     {e lint} corpus sweep, and the CSV {e ingest} of the curated
     database (each row passing through the corruption seam).  The
@@ -85,7 +85,7 @@ val pp : Format.formatter -> report -> unit
     each plan, a canned request script — mixed work classes, a burst
     past the admission bound, malformed and oversized lines, boom
     requests that crash and fault — runs through the server under
-    {!Fault.Hooks.run}, and the harness asserts {e zero lost
+    each plan's injector, and the harness asserts {e zero lost
     requests}: every admitted request got exactly one terminal
     response, every shed request a typed [overloaded], every bad line
     a typed error, and the server drained cleanly. *)

@@ -39,9 +39,7 @@ let flaw_index = function
 let kind_count kinds k =
   match List.assoc_opt k kinds with Some n -> float_of_int n | None -> 0.
 
-(* Computed eagerly, on the main domain, before any Par fan-out can
-   race the lazy guts of model construction. *)
-let flaw_table : float array array =
+let build_flaw_table () =
   Array.map
     (fun flaw ->
       match model_of_flaw flaw with
@@ -57,6 +55,27 @@ let flaw_table : float array array =
              kind_count t.Pfsm.Metrics.kinds Pfsm.Taxonomy.Reference_consistency_check;
              float_of_int t.Pfsm.Metrics.missing_checks |])
     all_flaws
+
+(* Built on first use: most processes that link this library never
+   classify, and the models (with the 384 KB simulated process image
+   one of them sets up) would cost each one ~0.3 ms of start-up.  The first
+   use can come from several Par workers at once, and model
+   construction forces shared lazies, so one domain builds under a
+   lock while the others wait; the no-op plan keeps an ambient
+   injector's seams out of the build. *)
+let flaw_table =
+  let lock = Mutex.create () and built = Atomic.make None in
+  fun () ->
+    match Atomic.get built with
+    | Some t -> t
+    | None ->
+        Mutex.protect lock (fun () ->
+            match Atomic.get built with
+            | Some t -> t
+            | None ->
+                let t = Fault.Hooks.with_plan Fault.Catalog.none build_flaw_table in
+                Atomic.set built (Some t);
+                t)
 
 let year_of (r : Report.t) =
   if String.length r.Report.date >= 4 then
@@ -79,7 +98,7 @@ let word_count s =
 
 let of_report (r : Report.t) =
   let v = Array.make dim 0. in
-  Array.blit flaw_table.(flaw_index r.Report.flaw) 0 v 0 model_dim;
+  Array.blit (flaw_table ()).(flaw_index r.Report.flaw) 0 v 0 model_dim;
   (match r.Report.range with
    | Report.Remote -> v.(model_dim) <- 1.
    | Report.Local -> v.(model_dim + 1) <- 1.

@@ -7,8 +7,8 @@
     cascade length, distinct objects, elementary activities,
     propagation gates, the three taxonomy kinds, missing checks) —
     and the report's Bugtraq metadata (exploitable range, title
-    shape, year).  The flaw-model features are computed once per flaw
-    at module initialisation; extraction is then allocation-light and
+    shape, year).  The flaw-model features are computed once per flaw,
+    on the first extraction; extraction is then allocation-light and
     safe to run on pool domains. *)
 
 val dim : int

@@ -14,8 +14,15 @@ type t = {
   mutable writes : int;
   mutable schedules : int;
   mutable store_writes : int;
-  mutable events : Event.t list;   (* newest first *)
+  mutable log : run list;   (* newest first *)
+  mutable count : int;   (* events in [log] *)
+  mutable last_clamp : (int * Event.t) option;   (* requested, its event *)
 }
+
+(* The event log is run-length encoded: consecutive equal events share
+   one entry.  A divergent read loop under a clamping plan fires the
+   same clamp hundreds of thousands of times. *)
+and run = { event : Event.t; mutable repeats : int }
 
 let create plan =
   { plan;
@@ -25,19 +32,35 @@ let create plan =
     writes = 0;
     schedules = 0;
     store_writes = 0;
-    events = [] }
+    log = [];
+    count = 0;
+    last_clamp = None }
 
 let plan t = t.plan
 
-let events t = List.rev t.events
+let events t =
+  List.fold_left
+    (fun acc r ->
+       let rec push acc n = if n = 0 then acc else push (r.event :: acc) (n - 1) in
+       push acc r.repeats)
+    [] t.log
+
+let event_count t = t.count
 
 let m_injected = Obs.Metrics.counter "fault.injected"
 
-let record t ~seam detail =
+let record_event t (e : Event.t) =
   Obs.Metrics.incr m_injected;
-  Obs.Span.instant ~cat:"fault" ~args:[ ("seam", seam); ("detail", detail) ]
-    "fault.injected";
-  t.events <- Event.make ~seam detail :: t.events
+  if Obs.Trace.enabled () then
+    Obs.Span.instant ~cat:"fault"
+      ~args:[ ("seam", e.Event.seam); ("detail", e.Event.detail) ]
+      "fault.injected";
+  t.count <- t.count + 1;
+  match t.log with
+  | r :: _ when r.event == e || r.event = e -> r.repeats <- r.repeats + 1
+  | _ -> t.log <- { event = e; repeats = 1 } :: t.log
+
+let record t ~seam detail = record_event t (Event.make ~seam detail)
 
 let chance t = function
   | None -> false
@@ -67,8 +90,20 @@ let recv_request t ~requested ~consumed =
    | Some _ | None -> ());
   match t.plan.Plan.recv_max_chunk with
   | Some chunk when requested > chunk ->
-      record t ~seam:"osmodel.socket"
-        (Printf.sprintf "recv(%d) clamped to %d bytes" requested chunk);
+      (* the chunk is the plan's, so the requested size alone decides
+         the event: a repeat reuses it and formats nothing *)
+      let e =
+        match t.last_clamp with
+        | Some (r, e) when r = requested -> e
+        | Some _ | None ->
+            let e =
+              Event.make ~seam:"osmodel.socket"
+                (Printf.sprintf "recv(%d) clamped to %d bytes" requested chunk)
+            in
+            t.last_clamp <- Some (requested, e);
+            e
+      in
+      record_event t e;
       chunk
   | Some _ | None -> requested
 

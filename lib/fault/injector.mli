@@ -19,7 +19,12 @@ val create : Plan.t -> t
 val plan : t -> Plan.t
 
 val events : t -> Event.t list
-(** Every fault injected so far, oldest first. *)
+(** Every fault injected so far, oldest first.  The log keeps
+    consecutive equal events as one entry with a count; this expands
+    it. *)
+
+val event_count : t -> int
+(** [List.length (events t)], in O(1). *)
 
 val heap_alloc_fails : t -> requested:int -> bool
 (** Should this allocation be denied? *)

@@ -15,60 +15,94 @@ let loop_bound = 100_000
 
 exception Stop of outcome
 
-type state = {
-  proc : Machine.Process.t;
-  vars : (string, value) Hashtbl.t;
+let truthy n = n <> 0
+
+let type_error_int = Stop (Rejected "type error: expected int")
+let type_error_str = Stop (Rejected "type error: expected string")
+
+(* ---- the slot compiler ---------------------------------------------
+
+   [run] compiles the function once per call into closures.  Every
+   variable is resolved to an index into a [value option array]
+   ([None] = unbound) and every buffer and array name to its address
+   in the frame [run] lays out, so executing a statement probes no
+   table.  Each closure keeps the evaluation order, the [Rejected]
+   reasons and the first-violation reporting of a direct AST walk:
+   operands left to right, a failed lookup raised only when the
+   statement runs. *)
+
+type frame = {
+  mem : Machine.Memory.t;
+  slot_of : (string, int) Hashtbl.t;   (* every variable name of the function *)
+  slots : value option array;
+  buffers : (string, Machine.Addr.t * int) Hashtbl.t;   (* addr, capacity *)
   arrays : (string * (Machine.Addr.t * int)) list;   (* base, element count *)
-  buffers : (string, Machine.Addr.t * int) Hashtbl.t; (* addr, capacity *)
   socket : Osmodel.Socket.t;
 }
 
-let truthy n = n <> 0
+let as_int = function Vint n -> n | Vstr _ -> raise type_error_int
 
-let as_int = function
-  | Vint n -> n
-  | Vstr _ -> raise (Stop (Rejected "type error: expected int"))
+let as_str = function Vstr s -> s | Vint _ -> raise type_error_str
 
-let as_str = function
-  | Vstr s -> s
-  | Vint _ -> raise (Stop (Rejected "type error: expected string"))
+(* A name in expression position reads a buffer first: a buffer reads
+   as its C string. *)
+let var_expr fr v : unit -> value =
+  match Hashtbl.find_opt fr.buffers v with
+  | Some (addr, _) ->
+      let mem = fr.mem in
+      fun () -> Vstr (Machine.Memory.read_cstring mem addr)
+  | None ->
+      let i = Hashtbl.find fr.slot_of v and slots = fr.slots in
+      let unbound = Stop (Rejected ("unbound variable " ^ v)) in
+      fun () -> (match slots.(i) with Some x -> x | None -> raise unbound)
 
-let lookup st v =
-  match Hashtbl.find_opt st.vars v with
-  | Some value -> value
-  | None -> raise (Stop (Rejected ("unbound variable " ^ v)))
-
-let rec eval st (e : Ast.expr) : value =
+let rec int_expr fr (e : Ast.expr) : unit -> int =
   match e with
-  | Ast.Int_lit n -> Vint n
-  | Ast.Str_lit s -> Vstr s
-  | Ast.Var v -> (
-      match Hashtbl.find_opt st.buffers v with
-      | Some (addr, _) ->
-          (* a buffer in expression position reads as its C string *)
-          Vstr (Machine.Memory.read_cstring (Machine.Process.mem st.proc) addr)
-      | None -> lookup st v)
-  | Ast.Bin (op, a, b) -> eval_bin st op a b
-  | Ast.Not e -> Vint (if truthy (as_int (eval st e)) then 0 else 1)
-  | Ast.Atoi e -> Vint (Pfsm.Strcodec.atoi32 (as_str (eval st e)))
-  | Ast.Strlen e -> Vint (String.length (as_str (eval st e)))
+  | Ast.Int_lit n -> fun () -> n
+  | Ast.Str_lit _ -> fun () -> raise type_error_int
+  | Ast.Var v ->
+      let x = var_expr fr v in
+      fun () -> as_int (x ())
+  | Ast.Bin (op, a, b) -> bin_expr fr op a b
+  | Ast.Not e ->
+      let x = int_expr fr e in
+      fun () -> if truthy (x ()) then 0 else 1
+  | Ast.Atoi e ->
+      let s = str_expr fr e in
+      fun () -> Pfsm.Strcodec.atoi32 (s ())
+  | Ast.Strlen e ->
+      let s = str_expr fr e in
+      fun () -> String.length (s ())
 
-and eval_bin st op a b =
+and str_expr fr (e : Ast.expr) : unit -> string =
+  match e with
+  | Ast.Str_lit s -> fun () -> s
+  | Ast.Var v ->
+      let x = var_expr fr v in
+      fun () -> as_str (x ())
+  | Ast.Int_lit _ | Ast.Bin _ | Ast.Not _ | Ast.Atoi _ | Ast.Strlen _ ->
+      let x = int_expr fr e in
+      fun () -> ignore (x ()); raise type_error_str
+
+and bin_expr fr op a b =
   (* One exhaustive match, each constructor with its own arm: the
      short-circuit ops never reach the strict-evaluation helpers, by
      construction rather than by an [assert false] that adversarial
-     Progen ASTs could in principle reach. *)
-  let num f =
-    let x = as_int (eval st a) and y = as_int (eval st b) in
-    Vint (Pfsm.Strcodec.wrap32 (f x y))
+     Progen ASTs could in principle reach.  The strict helpers bind
+     both operands with [let ... and ...], which evaluates them left
+     to right: when both fail, the left operand's reason wins. *)
+  let a = int_expr fr a and b = int_expr fr b in
+  let num f () =
+    let x = a () and y = b () in
+    Pfsm.Strcodec.wrap32 (f x y)
   in
-  let cmp f =
-    let x = as_int (eval st a) and y = as_int (eval st b) in
-    Vint (if f x y then 1 else 0)
+  let cmp f () =
+    let x = a () and y = b () in
+    if f x y then 1 else 0
   in
   match op with
-  | Ast.And -> Vint (if truthy (as_int (eval st a)) && truthy (as_int (eval st b)) then 1 else 0)
-  | Ast.Or -> Vint (if truthy (as_int (eval st a)) || truthy (as_int (eval st b)) then 1 else 0)
+  | Ast.And -> fun () -> if truthy (a ()) && truthy (b ()) then 1 else 0
+  | Ast.Or -> fun () -> if truthy (a ()) || truthy (b ()) then 1 else 0
   | Ast.Add -> num ( + )
   | Ast.Sub -> num ( - )
   | Ast.Mul -> num ( * )
@@ -79,87 +113,151 @@ and eval_bin st op a b =
   | Ast.Eq -> cmp ( = )
   | Ast.Ne -> cmp ( <> )
 
-let copy_into_buffer st buffer data =
-  match Hashtbl.find_opt st.buffers buffer with
-  | None -> raise (Stop (Rejected ("no such buffer " ^ buffer)))
-  | Some (addr, capacity) -> (
-      match Machine.Cstring.strcpy (Machine.Process.mem st.proc) ~dst:addr data with
-      | () ->
-          if String.length data + 1 > capacity then
-            raise
-              (Stop
-                 (Memory_violation
-                    (Buffer_overflow
-                       { buffer; wrote = String.length data + 1; capacity })))
-      | exception Machine.Memory.Fault { addr; _ } ->
-          raise (Stop (Memory_violation (Machine_fault addr))))
+let value_expr fr (e : Ast.expr) : unit -> value =
+  match e with
+  | Ast.Str_lit s ->
+      let x = Vstr s in
+      fun () -> x
+  | Ast.Var v -> var_expr fr v
+  | Ast.Int_lit _ | Ast.Bin _ | Ast.Not _ | Ast.Atoi _ | Ast.Strlen _ ->
+      let x = int_expr fr e in
+      fun () -> Vint (x ())
 
-let rec exec st (stmt : Ast.stmt) =
-  match stmt with
-  | Ast.Decl_int (v, e) | Ast.Assign (v, e) -> Hashtbl.replace st.vars v (eval st e)
+let machine_fault addr = Stop (Memory_violation (Machine_fault addr))
+
+let copy_into_buffer fr buffer : string -> unit =
+  match Hashtbl.find_opt fr.buffers buffer with
+  | None ->
+      let missing = Stop (Rejected ("no such buffer " ^ buffer)) in
+      fun _ -> raise missing
+  | Some (addr, capacity) ->
+      let mem = fr.mem in
+      fun data ->
+        (match Machine.Cstring.strcpy mem ~dst:addr data with
+         | () ->
+             if String.length data + 1 > capacity then
+               raise
+                 (Stop
+                    (Memory_violation
+                       (Buffer_overflow
+                          { buffer; wrote = String.length data + 1; capacity })))
+         | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr))
+
+let rec block fr stmts : unit -> unit =
+  let ss = Array.of_list (List.map (stmt fr) stmts) in
+  fun () -> Array.iter (fun s -> s ()) ss
+
+and stmt fr (s : Ast.stmt) : unit -> unit =
+  let mem = fr.mem and slots = fr.slots in
+  match s with
+  | Ast.Decl_int (v, e) | Ast.Assign (v, e) ->
+      let i = Hashtbl.find fr.slot_of v and x = value_expr fr e in
+      fun () -> slots.(i) <- Some (x ())
   | Ast.Decl_buf (_, _) | Ast.Decl_buf_dyn (_, _) ->
-      ()   (* allocated up front, like C stack slots *)
+      fun () -> ()   (* allocated up front, like C stack slots *)
   | Ast.Recv_into (rc_var, buffer, off_e, max_e) -> (
-      match Hashtbl.find_opt st.buffers buffer with
-      | None -> raise (Stop (Rejected ("no such buffer " ^ buffer)))
-      | Some (addr, capacity) -> (
-          let off = as_int (eval st off_e) in
-          let maxlen = as_int (eval st max_e) in
-          let chunk = Osmodel.Socket.recv st.socket maxlen in
-          let rc = String.length chunk in
-          match
-            Machine.Memory.write_string (Machine.Process.mem st.proc) (addr + off) chunk
-          with
-          | () ->
-              Hashtbl.replace st.vars rc_var (Vint rc);
-              if rc > 0 && off + rc > capacity then
-                raise
-                  (Stop
-                     (Memory_violation
-                        (Buffer_overflow
-                           { buffer; wrote = off + rc; capacity })))
-          | exception Machine.Memory.Fault { addr; _ } ->
-              raise (Stop (Memory_violation (Machine_fault addr)))))
+      match Hashtbl.find_opt fr.buffers buffer with
+      | None ->
+          let missing = Stop (Rejected ("no such buffer " ^ buffer)) in
+          fun () -> raise missing
+      | Some (addr, capacity) ->
+          let off_e = int_expr fr off_e and max_e = int_expr fr max_e in
+          let rc_slot = Hashtbl.find fr.slot_of rc_var in
+          fun () ->
+            let off = off_e () in
+            let maxlen = max_e () in
+            let chunk = Osmodel.Socket.recv fr.socket maxlen in
+            let rc = String.length chunk in
+            match Machine.Memory.write_string mem (addr + off) chunk with
+            | () ->
+                slots.(rc_slot) <- Some (Vint rc);
+                if rc > 0 && off + rc > capacity then
+                  raise
+                    (Stop
+                       (Memory_violation
+                          (Buffer_overflow { buffer; wrote = off + rc; capacity })))
+            | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr))
   | Ast.Array_store (array, idx_e, v_e) -> (
-      match List.assoc_opt array st.arrays with
-      | None -> raise (Stop (Rejected ("no such array " ^ array)))
-      | Some (base, count) -> (
-          let idx = as_int (eval st idx_e) in
-          let v = as_int (eval st v_e) in
-          let addr = base + (4 * idx) in
-          match Machine.Memory.write_i32 (Machine.Process.mem st.proc) addr v with
-          | () ->
-              if idx < 0 || idx >= count then
-                raise (Stop (Memory_violation (Array_oob { array; index = idx })))
-          | exception Machine.Memory.Fault { addr; _ } ->
-              raise (Stop (Memory_violation (Machine_fault addr)))))
-  | Ast.Strcpy (buffer, e) -> copy_into_buffer st buffer (as_str (eval st e))
+      match List.assoc_opt array fr.arrays with
+      | None ->
+          let missing = Stop (Rejected ("no such array " ^ array)) in
+          fun () -> raise missing
+      | Some (base, count) ->
+          let idx_e = int_expr fr idx_e and v_e = int_expr fr v_e in
+          fun () ->
+            let idx = idx_e () in
+            let v = v_e () in
+            let addr = base + (4 * idx) in
+            match Machine.Memory.write_i32 mem addr v with
+            | () ->
+                if idx < 0 || idx >= count then
+                  raise (Stop (Memory_violation (Array_oob { array; index = idx })))
+            | exception Machine.Memory.Fault { addr; _ } -> raise (machine_fault addr))
+  | Ast.Strcpy (buffer, e) ->
+      let s = str_expr fr e and copy = copy_into_buffer fr buffer in
+      fun () -> copy (s ())
   | Ast.Strncpy (buffer, e, bound_e) ->
-      let s = as_str (eval st e) in
-      let bound = as_int (eval st bound_e) in
-      let copy = if bound < 0 then s else String.sub s 0 (min bound (String.length s)) in
-      copy_into_buffer st buffer copy
+      let s_e = str_expr fr e and bound_e = int_expr fr bound_e in
+      let copy = copy_into_buffer fr buffer in
+      fun () ->
+        let s = s_e () in
+        let bound = bound_e () in
+        copy (if bound < 0 then s else String.sub s 0 (min bound (String.length s)))
   | Ast.If (cond, then_, else_) ->
-      if truthy (as_int (eval st cond)) then List.iter (exec st) then_
-      else List.iter (exec st) else_
+      let cond = int_expr fr cond and then_ = block fr then_ and else_ = block fr else_ in
+      fun () -> if truthy (cond ()) then then_ () else else_ ()
   | Ast.While (cond, body) ->
-      let iterations = ref 0 in
-      while truthy (as_int (eval st cond)) do
-        incr iterations;
-        if !iterations > loop_bound then raise (Stop Diverged);
-        List.iter (exec st) body
-      done
+      let cond = int_expr fr cond and body = block fr body in
+      fun () ->
+        let iterations = ref 0 in
+        while truthy (cond ()) do
+          incr iterations;
+          if !iterations > loop_bound then raise (Stop Diverged);
+          body ()
+        done
   | Ast.Do_while (body, cond) ->
-      let iterations = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        incr iterations;
-        if !iterations > loop_bound then raise (Stop Diverged);
-        List.iter (exec st) body;
-        continue_ := truthy (as_int (eval st cond))
-      done
-  | Ast.Reject reason -> raise (Stop (Rejected reason))
-  | Ast.Return e -> raise (Stop (Returned (as_int (eval st e))))
+      let body = block fr body and cond = int_expr fr cond in
+      fun () ->
+        let iterations = ref 0 in
+        let continue_ = ref true in
+        while !continue_ do
+          incr iterations;
+          if !iterations > loop_bound then raise (Stop Diverged);
+          body ();
+          continue_ := truthy (cond ())
+        done
+  | Ast.Reject reason ->
+      let stop = Stop (Rejected reason) in
+      fun () -> raise stop
+  | Ast.Return e ->
+      let x = int_expr fr e in
+      fun () -> raise (Stop (Returned (x ())))
+
+(* Every variable name the function mentions, each given a slot. *)
+let slot_names (f : Ast.func) =
+  let tbl = Hashtbl.create 16 in
+  let add v = if not (Hashtbl.mem tbl v) then Hashtbl.add tbl v (Hashtbl.length tbl) in
+  let rec expr (e : Ast.expr) =
+    match e with
+    | Ast.Var v -> add v
+    | Ast.Int_lit _ | Ast.Str_lit _ -> ()
+    | Ast.Bin (_, a, b) -> expr a; expr b
+    | Ast.Not e | Ast.Atoi e | Ast.Strlen e -> expr e
+  in
+  let rec stmt (s : Ast.stmt) =
+    match s with
+    | Ast.Decl_int (v, e) | Ast.Assign (v, e) -> add v; expr e
+    | Ast.Decl_buf (_, _) -> ()
+    | Ast.Decl_buf_dyn (_, e) | Ast.Strcpy (_, e) | Ast.Return e -> expr e
+    | Ast.Recv_into (rc, _, a, b) -> add rc; expr a; expr b
+    | Ast.Array_store (_, a, b) | Ast.Strncpy (_, a, b) -> expr a; expr b
+    | Ast.If (c, a, b) -> expr c; List.iter stmt a; List.iter stmt b
+    | Ast.While (c, body) | Ast.Do_while (body, c) -> expr c; List.iter stmt body
+    | Ast.Reject _ -> ()
+  in
+  List.iter (function Ast.Int_param p | Ast.Str_param p -> add p) f.Ast.params;
+  List.iter stmt f.Ast.body;
+  tbl
 
 (* Gather every buffer declaration (C reserves stack slots at function
    entry regardless of where the declaration appears). *)
@@ -184,20 +282,26 @@ let run ?(arrays = []) ?(socket = "") (f : Ast.func) ~args =
       arrays
   in
   let stack = Machine.Process.stack proc in
-  let param_env = Hashtbl.create 8 in
+  let mem = Machine.Process.mem proc in
+  let slot_of = slot_names f in
+  let new_slots () = Array.make (Hashtbl.length slot_of) None in
+  let bind slots p arg = slots.(Hashtbl.find slot_of p) <- Some arg in
+  let param_slots = new_slots () in
   (try
      List.iter2
        (fun param arg ->
           match param with
-          | Ast.Int_param p | Ast.Str_param p -> Hashtbl.replace param_env p arg)
+          | Ast.Int_param p | Ast.Str_param p -> bind param_slots p arg)
        f.Ast.params args
    with Invalid_argument _ -> ());
+  (* A dynamic buffer's size is probed against the parameters alone,
+     in a frame with no buffers yet. *)
+  let probe =
+    { mem; slot_of; slots = param_slots; buffers = Hashtbl.create 1; arrays = [];
+      socket = Osmodel.Socket.of_string "" }
+  in
   let size_of e =
-    let probe =
-      { proc; vars = param_env; arrays = []; buffers = Hashtbl.create 1;
-        socket = Osmodel.Socket.of_string "" }
-    in
-    match eval probe e with
+    match value_expr probe e () with
     | Vint n -> n
     | Vstr _ -> 0
     | exception Stop _ -> 0
@@ -205,28 +309,30 @@ let run ?(arrays = []) ?(socket = "") (f : Ast.func) ~args =
   let bufs = buffer_decls ~size_of f.Ast.body in
   Machine.Stack.push_frame stack ~func:f.Ast.name
     ~ret_addr:(Machine.Process.code_addr proc "caller")
-    ~locals:(List.map (fun (name, n) -> (name, n)) bufs);
+    ~locals:bufs;
   let buffers = Hashtbl.create 4 in
   List.iter
     (fun (name, n) -> Hashtbl.replace buffers name (Machine.Stack.local_addr stack name, n))
     bufs;
-  let vars = Hashtbl.create 8 in
+  let slots = new_slots () in
   (try
      List.iter2
        (fun param arg ->
           match param, arg with
-          | Ast.Int_param p, Vint _ -> Hashtbl.replace vars p arg
-          | Ast.Str_param p, Vstr _ -> Hashtbl.replace vars p arg
+          | Ast.Int_param p, Vint _ -> bind slots p arg
+          | Ast.Str_param p, Vstr _ -> bind slots p arg
           | Ast.Int_param p, _ | Ast.Str_param p, _ ->
               invalid_arg ("Interp.run: argument type mismatch for " ^ p))
        f.Ast.params args
    with Invalid_argument _ ->
      invalid_arg "Interp.run: wrong number or types of arguments");
-  let st =
-    { proc; vars; arrays = array_layout; buffers;
-      socket = Osmodel.Socket.of_string socket }
+  let body =
+    block
+      { mem; slot_of; slots; buffers; arrays = array_layout;
+        socket = Osmodel.Socket.of_string socket }
+      f.Ast.body
   in
-  match List.iter (exec st) f.Ast.body with
+  match body () with
   | () -> Returned 0
   | exception Stop outcome -> outcome
 

@@ -247,12 +247,14 @@ let interleaving_count_n lengths =
   in
   go 1 0 lengths
 
-let por_pruned = lazy (Obs.Metrics.counter "scheduler.por_pruned")
+(* Registered on first use (not a shared [lazy]: forcing one from two
+   pool workers at once raises [CamlinternalLazy.Undefined]). *)
+let por_pruned () = Obs.Metrics.counter "scheduler.por_pruned"
 
 let record_pruning ~independent ~total exploration =
   (if independent <> None && total < max_int
       && Fault.Budget.complete exploration.coverage then
-     Obs.Metrics.add (Lazy.force por_pruned) (total - exploration.explored));
+     Obs.Metrics.add (por_pruned ()) (total - exploration.explored));
   exploration
 
 let explore ?budget ?independent ~init ~a ~b ~check () =

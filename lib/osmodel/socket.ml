@@ -9,9 +9,12 @@ let recv t n =
     let n = Fault.Hooks.recv_request ~requested:n ~consumed:t.pos in
     let available = String.length t.data - t.pos in
     let take = min n available in
-    let chunk = String.sub t.data t.pos take in
-    t.pos <- t.pos + take;
-    chunk
+    if take = 0 then ""
+    else begin
+      let chunk = String.sub t.data t.pos take in
+      t.pos <- t.pos + take;
+      chunk
+    end
   end
 
 let remaining t = String.length t.data - t.pos

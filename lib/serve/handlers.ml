@@ -137,8 +137,9 @@ let chaos ~spend plan_name =
   match Fault.Catalog.find plan_name with
   | None -> reject "unknown fault plan: %s" plan_name
   | Some plan ->
-      let results, events =
-        Fault.Hooks.run plan (fun () ->
+      let inj = Fault.Injector.create plan in
+      let results =
+        Fault.Hooks.with_injector inj (fun () ->
             List.map
               (fun (app, entries) ->
                  spend 1;
@@ -161,7 +162,7 @@ let chaos ~spend plan_name =
           ("groups", Json.Int (List.length results));
           ("entries", Json.Int entries);
           ("consistent", Json.Int consistent);
-          ("events", Json.Int (List.length events)) ]
+          ("events", Json.Int (Fault.Injector.event_count inj)) ]
 
 let boom ~attempt ~spend mode times =
   spend 1;

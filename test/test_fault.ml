@@ -262,6 +262,88 @@ let prop_verify_budget_monotone =
        | Pfsm.Verify.Verified _, Pfsm.Verify.Verified _ -> true
        | _, _ -> false)
 
+(* ---- the event log ----------------------------------------------- *)
+
+let m_injected = Obs.Metrics.counter "fault.injected"
+
+(* The three legs [Chaos.run] replays under a plan, with the retry
+   seed it derives for that plan. *)
+let chaos_legs (plan : Fault.Plan.t) =
+  let module S = Resilience.Supervisor in
+  let config =
+    { S.default_config with
+      S.retry =
+        { S.default_config.S.retry with
+          Resilience.Retry.seed = Chaos.default_seed lxor Hashtbl.hash plan.Fault.Plan.name } }
+  in
+  let matrix =
+    List.map
+      (fun (app, entries) ->
+         { S.id = "matrix:" ^ app; resource = app;
+           work = (fun () -> List.length (entries ())) })
+      Exploit.Consistency.app_groups
+    @ [ { S.id = "matrix:lemma"; resource = "lemma";
+          work =
+            (fun () ->
+               if Exploit.Protection.lemma_holds () then 1
+               else raise (Resilience.Quarantine.Reject "protection lemma broken")) } ]
+  in
+  ignore (S.run ~label:"chaos-matrix" ~config matrix);
+  ignore (Staticcheck.Linter.supervised_sweep ~supervise:config ());
+  ignore
+    (Resilience.Ingest.csv ~label:"chaos-ingest" ~config
+       (Vulndb.Csv.of_database (Vulndb.Seed_data.database ())))
+
+(* [event_count] is the O(1) count the chaos report prints: it must
+   equal the [fault.injected] counter's delta, the expanded log's
+   length and the report's own figure, under every catalog plan. *)
+let test_event_count_contract () =
+  List.iter
+    (fun (plan : Fault.Plan.t) ->
+       let name = plan.Fault.Plan.name in
+       let before = Obs.Metrics.counter_value m_injected in
+       let inj = Fault.Injector.create plan in
+       Fault.Hooks.with_injector inj (fun () -> chaos_legs plan);
+       let n = Fault.Injector.event_count inj in
+       Alcotest.(check int) (name ^ ": fault.injected delta")
+         (Obs.Metrics.counter_value m_injected - before) n;
+       Alcotest.(check int) (name ^ ": expanded log") n
+         (List.length (Fault.Injector.events inj));
+       let report = Chaos.run ~plans:[ plan ] () in
+       Alcotest.(check int) (name ^ ": chaos report") n
+         (List.hd report.Chaos.runs).Chaos.events)
+    Fault.Catalog.all
+
+(* Consecutive equal events share one log entry, so the expansion
+   hands back one physical event per run; a distinct event starts a
+   new run, even when an equal one fired earlier. *)
+let test_event_log_runs () =
+  let plan = { Fault.Catalog.short_recv with Fault.Plan.fs_deny_percent = Some 100 } in
+  let inj = Fault.Injector.create plan in
+  let clamp requested =
+    Alcotest.(check int) "granted" 7
+      (Fault.Injector.recv_request inj ~requested ~consumed:0)
+  in
+  let deny path =
+    Alcotest.(check bool) "denied" true (Fault.Injector.fs_denies inj ~path)
+  in
+  clamp 64; clamp 64; clamp 64; clamp 32; clamp 64;
+  deny "/a"; deny "/a"; deny "/b";
+  let evs = Array.of_list (Fault.Injector.events inj) in
+  Alcotest.(check int) "count" 8 (Fault.Injector.event_count inj);
+  Alcotest.(check (list string)) "oldest first"
+    [ "recv(64) clamped to 7 bytes"; "recv(64) clamped to 7 bytes";
+      "recv(64) clamped to 7 bytes"; "recv(32) clamped to 7 bytes";
+      "recv(64) clamped to 7 bytes"; "EACCES on /a"; "EACCES on /a";
+      "EACCES on /b" ]
+    (Array.to_list (Array.map (fun (e : Fault.Event.t) -> e.Fault.Event.detail) evs));
+  Alcotest.(check bool) "three clamps, one run" true (evs.(0) == evs.(1) && evs.(1) == evs.(2));
+  Alcotest.(check bool) "a distinct clamp is its own run" true (evs.(3) != evs.(2));
+  Alcotest.(check bool) "an equal clamp after it starts a new run" true
+    (evs.(4) = evs.(0) && evs.(4) != evs.(0));
+  Alcotest.(check bool) "equal denials, made apart, collapse" true (evs.(5) == evs.(6));
+  Alcotest.(check bool) "a distinct denial is its own run" true (evs.(7) != evs.(6))
+
 (* ---- suite ------------------------------------------------------- *)
 
 let () =
@@ -284,6 +366,11 @@ let () =
          Alcotest.test_case "catalog runs to typed outcomes" `Quick
            test_catalog_runs_to_typed_outcomes;
          QCheck_alcotest.to_alcotest prop_same_seed_same_verdict ]);
+      ("event log",
+       [ Alcotest.test_case "count = counter = expanded log" `Quick
+           test_event_count_contract;
+         Alcotest.test_case "equal events collapse into runs" `Quick
+           test_event_log_runs ]);
       ("matrix",
        [ Alcotest.test_case "no-op plan transparent" `Quick
            test_noop_plan_transparent;

@@ -521,6 +521,205 @@ let test_parser_error_reports_line () =
   | Ok _ -> Alcotest.fail "parsed garbage"
   | Error e -> Alcotest.(check int) "line 2" 2 e.Minic.Parser.line
 
+(* ---- the compiled executor against its tree-walking oracle -------- *)
+
+(* [Oracles.Interp_ref] is the tree-walking interpreter the slot
+   compiler replaced.  Both must agree on the outcome (or the exception
+   that escapes) and on the fault events the run fires, event for
+   event: the seams see the same calls in the same order. *)
+
+module Ref = Oracles.Interp_ref
+module G = Staticcheck.Progen
+
+let observe ?plan exec =
+  let attempt () =
+    match exec () with o -> Ok o | exception e -> Error (Printexc.to_string e)
+  in
+  match plan with
+  | None -> (attempt (), [])
+  | Some plan -> Fault.Hooks.run plan attempt
+
+let render (result, events) =
+  Printf.sprintf "%s, %d fault events"
+    (match result with
+     | Ok o -> Format.asprintf "%a" I.pp_outcome o
+     | Error e -> "raised " ^ e)
+    (List.length events)
+
+let agree ?plan ?(arrays = []) ?(socket = "") f ~args =
+  let compiled = observe ?plan (fun () -> I.run ~arrays ~socket f ~args) in
+  let oracle = observe ?plan (fun () -> Ref.run ~arrays ~socket f ~args) in
+  if compiled = oracle then Ok ()
+  else
+    Error
+      (Printf.sprintf "%s%s: compiled %s, oracle %s" f.A.name
+         (match plan with Some p -> " under " ^ p.Fault.Plan.name | None -> "")
+         (render compiled) (render oracle))
+
+let check_agree ?plan ?arrays ?socket f ~args =
+  match agree ?plan ?arrays ?socket f ~args with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+(* Every replay input the linter would try on the corpus, with no
+   plan and under each catalog plan. *)
+let test_executor_matches_oracle_on_candidates () =
+  let config = Staticcheck.Linter.corpus_config in
+  List.iter
+    (fun (_, f) ->
+       let raws = (Staticcheck.Absint.analyze ~config f).Staticcheck.Absint.raws in
+       List.iter
+         (fun raw ->
+            List.iter
+              (fun (args, socket) ->
+                 List.iter
+                   (fun plan ->
+                      check_agree ?plan ~arrays:config.Staticcheck.Absint.arrays
+                        ~socket f ~args)
+                   (None :: List.map Option.some Fault.Catalog.all))
+              (Staticcheck.Concretize.candidates f raw))
+         raws)
+    C.all
+
+(* Arguments for a generated function: mostly well-typed, sometimes
+   short or mistyped, so the argument check is compared too. *)
+let gen_args r (params : A.param list) =
+  let module R = Vulndb.Prng in
+  let ints = [| -1; 0; 1; 7; 64; 255; 300; 1024; 4096 |] in
+  let strs = [| ""; "abc"; "12"; "-1"; "4294967295"; "hello world"; String.make 300 'a' |] in
+  let args =
+    List.map
+      (function
+        | A.Int_param _ -> I.Vint (R.pick r ints)
+        | A.Str_param _ -> I.Vstr (R.pick r strs))
+      params
+  in
+  match R.below r 12, args with
+  | 0, _ :: rest -> rest
+  | 1, (I.Vint _ :: rest) -> I.Vstr "7" :: rest
+  | _ -> args
+
+let prop_executor_matches_oracle_progen =
+  QCheck.Test.make ~name:"minic: compiled executor = oracle on progen" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_bound (List.length Fault.Catalog.all)))
+    (fun (seed, p) ->
+       let plan = List.nth_opt Fault.Catalog.all p in
+       let r = Vulndb.Prng.create ~seed in
+       let socket = Vulndb.Prng.pick r [| ""; "GET /"; String.make 2000 'z' |] in
+       let f = G.func ~seed in
+       let v = G.vuln ~seed in
+       let lint_inputs =
+         List.concat_map (Staticcheck.Concretize.candidates v.G.f)
+           (Staticcheck.Absint.analyze
+              ~config:{ Staticcheck.Absint.default_config with
+                        Staticcheck.Absint.arrays = v.G.arrays }
+              v.G.f).Staticcheck.Absint.raws
+       in
+       let check = function
+         | Ok () -> true
+         | Error msg -> QCheck.Test.fail_report msg
+       in
+       check
+         (agree ?plan ~arrays:[ ("tab", 8); ("slots", 300) ] ~socket f
+            ~args:(gen_args r f.A.params))
+       && check (agree ?plan ~arrays:v.G.arrays v.G.f ~args:(gen_args r v.G.f.A.params))
+       && List.for_all
+            (fun (args, socket) -> check (agree ?plan ~arrays:v.G.arrays ~socket v.G.f ~args))
+            lint_inputs)
+
+(* The corners a slot compiler could get wrong, each pinned to its
+   expected outcome and compared with the oracle. *)
+let test_executor_hand_cases () =
+  let open A in
+  let f ?(params = []) body = { name = "hand"; params; body } in
+  let count_to k =
+    [ Decl_int ("i", Int_lit 0);
+      While (Bin (Lt, Var "i", Int_lit k), [ Assign ("i", Bin (Add, Var "i", Int_lit 1)) ]);
+      Return (Var "i") ]
+  in
+  let do_count_to k =
+    [ Decl_int ("i", Int_lit 0);
+      Do_while ([ Assign ("i", Bin (Add, Var "i", Int_lit 1)) ], Bin (Lt, Var "i", Int_lit k));
+      Return (Var "i") ]
+  in
+  let dyn = [ Int_param "n"; Str_param "s" ] in
+  let dyn_body =
+    [ Decl_buf_dyn ("b", Bin (Add, Var "n", Int_lit 1));
+      Strcpy ("b", Var "s");
+      Return (Strlen (Var "b")) ]
+  in
+  let overflow buffer wrote capacity =
+    I.Memory_violation (I.Buffer_overflow { buffer; wrote; capacity })
+  in
+  let cases =
+    [ ("unbound left operand beats a mistyped right",
+       f [ Return (Bin (Add, Var "u", Str_lit "s")) ], [],
+       I.Rejected "unbound variable u");
+      ("mistyped left operand beats an unbound right",
+       f [ Return (Bin (Lt, Str_lit "s", Var "u")) ], [],
+       I.Rejected "type error: expected int");
+      ("both unbound: the left one is reported",
+       f [ Return (Bin (Mul, Var "u1", Var "u2")) ], [],
+       I.Rejected "unbound variable u1");
+      ("string variable in a comparison",
+       f [ Decl_int ("s", Str_lit "x"); Return (Bin (Ne, Var "s", Var "u")) ], [],
+       I.Rejected "type error: expected int");
+      ("int where a string is expected",
+       f [ Return (Strlen (Bin (Add, Int_lit 1, Int_lit 2))) ], [],
+       I.Rejected "type error: expected string");
+      ("dynamic buffer sized from a parameter", f ~params:dyn dyn_body,
+       [ I.Vint 4; I.Vstr "abcd" ], I.Returned 4);
+      ("dynamic buffer from a parameter overflows", f ~params:dyn dyn_body,
+       [ I.Vint 4; I.Vstr "abcde" ], overflow "b" 6 5);
+      ("a string-sized buffer has capacity 0",
+       f ~params:[ Str_param "s" ] [ Decl_buf_dyn ("b", Var "s"); Strcpy ("b", Str_lit "") ],
+       [ I.Vstr "abc" ], overflow "b" 1 0);
+      ("a local-sized buffer has capacity 0",
+       f [ Decl_int ("k", Int_lit 9); Decl_buf_dyn ("b", Var "k"); Strcpy ("b", Str_lit "") ],
+       [], overflow "b" 1 0);
+      ("a dynamic size sees the parameter, not the buffer of that name",
+       f ~params:[ Int_param "n" ]
+         [ Decl_buf ("n", 4); Decl_buf_dyn ("b", Var "n"); Strcpy ("b", Str_lit "abc");
+           Return (Strlen (Var "b")) ],
+       [ I.Vint 10 ], I.Returned 3);
+      ("an assignment to a buffer name is shadowed by the buffer",
+       f [ Decl_buf ("buf", 8); Strcpy ("buf", Str_lit "hi"); Assign ("buf", Int_lit 5);
+           Return (Strlen (Var "buf")) ],
+       [], I.Returned 2);
+      ("a missing buffer is reported before recv's operands",
+       f [ Recv_into ("rc", "nobuf", Var "u", Int_lit 1) ], [],
+       I.Rejected "no such buffer nobuf");
+      ("strcpy's operand is evaluated before its buffer is looked up",
+       f [ Strcpy ("nobuf", Var "u") ], [], I.Rejected "unbound variable u");
+      ("a missing array is reported before the store's operands",
+       f [ Array_store ("tab", Var "u", Int_lit 1) ], [], I.Rejected "no such array tab");
+      ("a while loop of exactly loop_bound iterations returns",
+       f (count_to I.loop_bound), [], I.Returned I.loop_bound);
+      ("one more iteration diverges", f (count_to (I.loop_bound + 1)), [], I.Diverged);
+      ("a do-while of exactly loop_bound iterations returns",
+       f (do_count_to I.loop_bound), [], I.Returned I.loop_bound);
+      ("one more do-while iteration diverges",
+       f (do_count_to (I.loop_bound + 1)), [], I.Diverged) ]
+  in
+  List.iter
+    (fun (name, fn, args, expected) ->
+       let pp = Format.asprintf "%a" I.pp_outcome in
+       Alcotest.(check string) name (pp expected) (pp (I.run fn ~args));
+       Alcotest.(check string) (name ^ " (oracle)") (pp expected) (pp (Ref.run fn ~args));
+       check_agree ~plan:Fault.Catalog.short_recv fn ~args)
+    cases;
+  (* the first violation wins: the overflow, not the later reject *)
+  check_agree (f [ Decl_buf ("b", 2); Strcpy ("b", Str_lit "abc"); Reject "late" ]) ~args:[];
+  match
+    I.run
+      { name = "hand"; params = [ Int_param "n" ];
+        body = [ Return (Var "n") ] }
+      ~args:[ I.Vstr "x" ]
+  with
+  | _ -> Alcotest.fail "mistyped argument accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "argument check" "Interp.run: wrong number or types of arguments" msg
+
 let () =
   Alcotest.run "minic"
     [ ("ast", [ Alcotest.test_case "pretty printing" `Quick test_pp_renders_cish_source ]);
@@ -535,6 +734,11 @@ let () =
          Alcotest.test_case "reject" `Quick test_interp_reject;
          Alcotest.test_case "buffer roundtrip" `Quick test_interp_buffer_roundtrip;
          Alcotest.test_case "strncpy bounded" `Quick test_interp_strncpy_bounded ]);
+      ("exec vs oracle",
+       [ Alcotest.test_case "hand cases" `Quick test_executor_hand_cases;
+         Alcotest.test_case "lint candidates under every plan" `Quick
+           test_executor_matches_oracle_on_candidates;
+         QCheck_alcotest.to_alcotest prop_executor_matches_oracle_progen ]);
       ("vulnerabilities",
        [ Alcotest.test_case "tTflag wrap exploit" `Quick test_tTflag_wrap_exploit;
          Alcotest.test_case "tTflag fixed rejects" `Quick test_tTflag_fixed_rejects_wrap;
