@@ -4,10 +4,20 @@ let categories = Array.of_list Category.all
 
 let ncat = Array.length categories
 
-let category_index =
-  let tbl = Hashtbl.create ncat in
-  Array.iteri (fun i c -> Hashtbl.replace tbl (Category.to_string c) i) categories;
-  fun c -> Hashtbl.find tbl (Category.to_string c)
+(* The position in [Category.all]. *)
+let category_index = function
+  | Category.Access_validation_error -> 0
+  | Category.Atomicity_error -> 1
+  | Category.Boundary_condition_error -> 2
+  | Category.Configuration_error -> 3
+  | Category.Design_error -> 4
+  | Category.Environment_error -> 5
+  | Category.Failure_to_handle_exceptional_conditions -> 6
+  | Category.Input_validation_error -> 7
+  | Category.Origin_validation_error -> 8
+  | Category.Race_condition_error -> 9
+  | Category.Serialization_error -> 10
+  | Category.Unknown -> 11
 
 type model = { centroids : float array array }
 
@@ -34,19 +44,20 @@ let train seq =
   { centroids }
 
 let predict model v =
+  let cs = model.centroids in
   let best = ref 0 and best_d = ref infinity in
-  Array.iteri
-    (fun i c ->
-      let d = ref 0. in
-      for k = 0 to Features.dim - 1 do
-        let x = v.(k) -. c.(k) in
-        d := !d +. (x *. x)
-      done;
-      if !d < !best_d then begin
-        best := i;
-        best_d := !d
-      end)
-    model.centroids;
+  for i = 0 to Array.length cs - 1 do
+    let c = cs.(i) in
+    let d = ref 0. in
+    for k = 0 to Features.dim - 1 do
+      let x = v.(k) -. c.(k) in
+      d := !d +. (x *. x)
+    done;
+    if !d < !best_d then begin
+      best := i;
+      best_d := !d
+    end
+  done;
   !best
 
 let model_digest model =
@@ -76,10 +87,12 @@ let classify_all model reports =
      but not for a million-report sweep *)
   let counts = Array.make (ncat * ncat) 0 in
   let n = ref 0 in
+  let v = Array.make Features.dim 0. in
   List.iter
     (fun (r : Vulndb.Report.t) ->
       let truth = category_index r.Vulndb.Report.category in
-      let predicted = predict model (Features.of_report r) in
+      Features.fill v r;
+      let predicted = predict model v in
       let k = (truth * ncat) + predicted in
       counts.(k) <- counts.(k) + 1;
       incr n)

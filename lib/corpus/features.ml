@@ -77,33 +77,40 @@ let flaw_table =
                 Atomic.set built (Some t);
                 t)
 
-let year_of (r : Report.t) =
-  if String.length r.Report.date >= 4 then
-    match int_of_string_opt (String.sub r.Report.date 0 4) with
+let is_digit c = c >= '0' && c <= '9'
+
+let digit_at s i = Char.code s.[i] - Char.code '0'
+
+(* The year offset of a YYYY-MM-DD date.  Four leading decimal digits
+   are read directly; anything else ("0x1F", "+200", "1_00", ...)
+   keeps [int_of_string_opt]'s reading of the first four bytes. *)
+let year_of d =
+  if String.length d < 4 then 0
+  else if is_digit d.[0] && is_digit d.[1] && is_digit d.[2] && is_digit d.[3] then
+    (1000 * digit_at d 0) + (100 * digit_at d 1) + (10 * digit_at d 2)
+    + digit_at d 3 - 1998
+  else
+    match int_of_string_opt (String.sub d 0 4) with
     | Some y -> y - 1998
     | None -> 0
-  else 0
 
 let word_count s =
-  let words = ref 0 and in_word = ref false in
-  String.iter
-    (fun c ->
-      if c = ' ' then in_word := false
-      else if not !in_word then begin
-        in_word := true;
-        incr words
-      end)
-    s;
+  let words = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if s.[i] <> ' ' && (i = 0 || s.[i - 1] = ' ') then incr words
+  done;
   !words
 
-let of_report (r : Report.t) =
-  let v = Array.make dim 0. in
+let fill v (r : Report.t) =
   Array.blit (flaw_table ()).(flaw_index r.Report.flaw) 0 v 0 model_dim;
-  (match r.Report.range with
-   | Report.Remote -> v.(model_dim) <- 1.
-   | Report.Local -> v.(model_dim + 1) <- 1.
-   | Report.Both -> v.(model_dim + 2) <- 1.);
+  v.(model_dim) <- (match r.Report.range with Report.Remote -> 1. | _ -> 0.);
+  v.(model_dim + 1) <- (match r.Report.range with Report.Local -> 1. | _ -> 0.);
+  v.(model_dim + 2) <- (match r.Report.range with Report.Both -> 1. | _ -> 0.);
   v.(model_dim + 3) <- float_of_int (String.length r.Report.title);
   v.(model_dim + 4) <- float_of_int (word_count r.Report.title);
-  v.(model_dim + 5) <- float_of_int (year_of r);
+  v.(model_dim + 5) <- float_of_int (year_of r.Report.date)
+
+let of_report r =
+  let v = Array.make dim 0. in
+  fill v r;
   v

@@ -28,5 +28,10 @@ val model_of_flaw : Vulndb.Report.flaw -> Pfsm.Model.t option
 val of_report : Vulndb.Report.t -> float array
 (** The feature vector; a pure function of the report. *)
 
+val fill : float array -> Vulndb.Report.t -> unit
+(** [fill v r] overwrites every slot of [v] (length {!dim}) with the
+    feature vector of [r], allocating nothing: a sweep reuses one
+    vector for a whole chunk. *)
+
 val version : string
 (** Cache-key component: bump when the vector layout changes. *)

@@ -1,6 +1,6 @@
 let to_payload ~tag v =
   if String.contains tag '\n' then invalid_arg "Store.Codec: tag has newline";
-  tag ^ "\n" ^ Marshal.to_string v [ Marshal.Closures ]
+  String.concat "\n" [ tag; Marshal.to_string v [ Marshal.Closures ] ]
 
 let of_payload ~tag payload =
   match String.index_opt payload '\n' with

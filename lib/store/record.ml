@@ -9,10 +9,12 @@ let error_to_string = function
   | Checksum_mismatch -> "checksum-mismatch"
   | Stale_version -> "stale-version"
 
+(* One concat: the payload (a whole corpus chunk, say) is copied once. *)
 let encode_with_version ~version payload =
-  Printf.sprintf "%s %d %d %s\n%s" magic version (String.length payload)
-    (Digest.to_hex (Digest.string payload))
-    payload
+  String.concat ""
+    [ magic; " "; string_of_int version; " ";
+      string_of_int (String.length payload); " ";
+      Digest.to_hex (Digest.string payload); "\n"; payload ]
 
 let encode payload = encode_with_version ~version:current_version payload
 

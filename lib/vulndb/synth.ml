@@ -53,30 +53,6 @@ let category_phrase c =
   | Category.Serialization_error -> "Serialization"
   | Category.Unknown -> "Unspecified"
 
-let date_of rng =
-  Printf.sprintf "%04d-%02d-%02d"
-    (Prng.in_range rng ~low:1998 ~high:2002)
-    (Prng.in_range rng ~low:1 ~high:12)
-    (Prng.in_range rng ~low:1 ~high:28)
-
-let synth_report rng ~id ~category ~flaw =
-  let software =
-    Printf.sprintf "%s %d.%d" (Prng.pick rng software_pool)
-      (Prng.in_range rng ~low:0 ~high:4)
-      (Prng.in_range rng ~low:0 ~high:9)
-  in
-  let title =
-    Printf.sprintf "%s %s %s" software (category_phrase category) (flaw_phrase flaw)
-  in
-  let range =
-    match Prng.below rng 4 with
-    | 0 -> Report.Local
-    | 1 -> Report.Both
-    | _ -> Report.Remote
-  in
-  Report.make ~id ~title ~date:(date_of rng) ~category ~software ~range ~flaw
-    ~synthetic:true ()
-
 (* ------------------------------------------------------------------ *)
 (* The validated corpus plan. *)
 
@@ -265,23 +241,138 @@ let seg_at p sp =
   done;
   p.segments.(!lo)
 
-let report_at p ~seed ~pos =
+(* ------------------------------------------------------------------ *)
+(* Report synthesis.  Every drawn string comes from a small finite set
+   (dates: 5 years x 12 months x 28 days; software: 20 pool names x 5
+   major x 10 minor versions; titles: one per software name within a
+   segment), so each is built without Printf and, inside one chunk,
+   interned: the first report to draw a value builds it and every
+   later report of the chunk shares it.  Sharing also lets Marshal
+   write each string once per chunk record.  The tables belong to one
+   [chunk_reports] call, so Par workers share nothing mutable. *)
+
+let versions = 5 * 10
+
+let digit n = Char.unsafe_chr (Char.code '0' + n)
+
+(* [k] = (pool * 5 + major) * 10 + minor *)
+let build_software k =
+  let name = software_pool.(k / versions) in
+  let n = String.length name in
+  let b = Bytes.create (n + 4) in
+  Bytes.blit_string name 0 b 0 n;
+  Bytes.set b n ' ';
+  Bytes.set b (n + 1) (digit (k / 10 mod 5));
+  Bytes.set b (n + 2) '.';
+  Bytes.set b (n + 3) (digit (k mod 10));
+  Bytes.unsafe_to_string b
+
+(* [k] = ((year - 1998) * 12 + month - 1) * 28 + day - 1; YYYY-MM-DD *)
+let build_date k =
+  let year = 1998 + (k / (12 * 28)) and month = 1 + (k / 28 mod 12)
+  and day = 1 + (k mod 28) in
+  let b = Bytes.create 10 in
+  Bytes.set b 0 (digit (year / 1000));
+  Bytes.set b 1 (digit (year / 100 mod 10));
+  Bytes.set b 2 (digit (year / 10 mod 10));
+  Bytes.set b 3 (digit (year mod 10));
+  Bytes.set b 4 '-';
+  Bytes.set b 5 (digit (month / 10));
+  Bytes.set b 6 (digit (month mod 10));
+  Bytes.set b 7 '-';
+  Bytes.set b 8 (digit (day / 10));
+  Bytes.set b 9 (digit (day mod 10));
+  Bytes.unsafe_to_string b
+
+let build_title software seg =
+  String.concat " "
+    [ software; category_phrase seg.seg_category; flaw_phrase seg.seg_flaw ]
+
+(* One chunk's interner; [""] marks a value not built yet. *)
+type tables = {
+  dates : string array;
+  software : string array;
+  titles : string array;  (* by software index, for [titles_for] *)
+  mutable titles_for : segment option;
+}
+
+let fresh_tables () =
+  let names = Array.length software_pool * versions in
+  { dates = Array.make (5 * 12 * 28) ""; software = Array.make names "";
+    titles = Array.make names ""; titles_for = None }
+
+let interned tbl k build =
+  let s = tbl.(k) in
+  if String.length s > 0 then s
+  else begin
+    let s = build k in
+    tbl.(k) <- s;
+    s
+  end
+
+let software_of tables k =
+  match tables with
+  | None -> build_software k
+  | Some t -> interned t.software k build_software
+
+let date_of tables k =
+  match tables with
+  | None -> build_date k
+  | Some t -> interned t.dates k build_date
+
+let title_of tables seg k software =
+  match tables with
+  | None -> build_title software seg
+  | Some t ->
+      (match t.titles_for with
+       | Some s when s == seg -> ()
+       | _ ->
+           Array.fill t.titles 0 (Array.length t.titles) "";
+           t.titles_for <- Some seg);
+      interned t.titles k (fun _ -> build_title software seg)
+
+let synth_report tables rng ~id ~seg =
+  (* The retired generator drew inside [Printf.sprintf] arguments,
+     which OCaml evaluates right to left; the reports depend on that
+     order, so it is spelled out here. *)
+  let minor = Prng.in_range rng ~low:0 ~high:9 in
+  let major = Prng.in_range rng ~low:0 ~high:4 in
+  let pick = Prng.below rng (Array.length software_pool) in
+  let range =
+    match Prng.below rng 4 with
+    | 0 -> Report.Local
+    | 1 -> Report.Both
+    | _ -> Report.Remote
+  in
+  let day = Prng.in_range rng ~low:1 ~high:28 in
+  let month = Prng.in_range rng ~low:1 ~high:12 in
+  let year = Prng.in_range rng ~low:1998 ~high:2002 in
+  let k = (((pick * 5) + major) * 10) + minor in
+  let software = software_of tables k in
+  let date = (((((year - 1998) * 12) + month - 1) * 28) + day) - 1 in
+  Report.make ~id ~title:(title_of tables seg k software)
+    ~date:(date_of tables date)
+    ~category:seg.seg_category ~software ~range ~flaw:seg.seg_flaw
+    ~synthetic:true ()
+
+let report_in tables p ~seed ~pos =
   let nc = Array.length p.curated in
   if pos < nc then p.curated.(pos)
   else begin
     let sp = pos - nc in
-    let seg = seg_at p sp in
     let rng = Prng.create ~seed:(Par.Seed.child ~seed ~index:sp) in
-    synth_report rng ~id:(id_at p sp) ~category:seg.seg_category
-      ~flaw:seg.seg_flaw
+    synth_report tables rng ~id:(id_at p sp) ~seg:(seg_at p sp)
   end
+
+let report_at p ~seed ~pos = report_in None p ~seed ~pos
 
 let chunk_reports p ~seed ~chunk ~index =
   let size = plan_size p in
   let lo = index * chunk in
   let hi = min size (lo + chunk) in
+  let tables = Some (fresh_tables ()) in
   let rec go i acc =
-    if i < lo then acc else go (i - 1) (report_at p ~seed ~pos:i :: acc)
+    if i < lo then acc else go (i - 1) (report_in tables p ~seed ~pos:i :: acc)
   in
   go (hi - 1) []
 

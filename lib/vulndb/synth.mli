@@ -65,7 +65,9 @@ val report_at : plan -> seed:int -> pos:int -> Report.t
     synthetic) — a pure function of [(plan, seed, pos)]. *)
 
 val chunk_reports : plan -> seed:int -> chunk:int -> index:int -> Report.t list
-(** Positions [[index*chunk, min (plan_size) ((index+1)*chunk))]. *)
+(** Positions [[index*chunk, min (plan_size) ((index+1)*chunk))], equal
+    to {!report_at} at each.  Within one chunk, synthetic reports with
+    equal dates, software names or titles share one string. *)
 
 val generate_stream :
   ?curated:Report.t list ->

@@ -77,6 +77,18 @@ let test_record_taxonomy () =
   | Error S.Record.Stale_version -> ()
   | _ -> Alcotest.fail "foreign version not detected"
 
+let test_record_bytes_pinned () =
+  (* images written before [encode] became one concat; stores written
+     by either build must stay readable by the other *)
+  Alcotest.(check string) "payload record"
+    "DFSMSTORE 1 20 63e12674c336c58e5c5c9d58ad455ba0\ncorpus-chunk\npayload"
+    (S.Record.encode "corpus-chunk\npayload");
+  Alcotest.(check string) "empty record"
+    "DFSMSTORE 1 0 d41d8cd98f00b204e9800998ecf8427e\n" (S.Record.encode "");
+  Alcotest.(check string) "codec payload = tag, newline, marshal"
+    ("corpus-chunk\n" ^ Marshal.to_string [ 1; 2 ] [ Marshal.Closures ])
+    (S.Codec.to_payload ~tag:"corpus-chunk" [ 1; 2 ])
+
 let test_sealed_lines () =
   let line = S.Record.seal_line "7 some-id" in
   (match S.Record.unseal_line line with
@@ -429,6 +441,7 @@ let () =
     [ ("record",
        [ Alcotest.test_case "round trip" `Quick test_record_roundtrip;
          Alcotest.test_case "tamper taxonomy" `Quick test_record_taxonomy;
+         Alcotest.test_case "bytes pinned" `Quick test_record_bytes_pinned;
          Alcotest.test_case "sealed lines" `Quick test_sealed_lines ]);
       ("disk",
        [ Alcotest.test_case "round trip and reopen" `Quick

@@ -182,6 +182,34 @@ let test_synth_ids_disjoint () =
            (r.R.id >= Vulndb.Synth.synthetic_id_base))
     (D.reports db)
 
+(* Digests of generated corpora, captured from the Printf generator
+   before interning replaced it: a change to any drawn field, or to
+   the order of the draws, changes them. *)
+let hex s = Digest.to_hex (Digest.string s)
+
+let test_synth_legacy_digest () =
+  Alcotest.(check string) "csv of the seed-20021130 database"
+    "cbfb5598e09cea3433b4c6c9567880a2"
+    (hex (Vulndb.Csv.of_database (Lazy.force db)))
+
+let test_synth_million_chunk_digests () =
+  match Vulndb.Synth.plan ~total:1_000_000 () with
+  | Error e -> Alcotest.fail (Vulndb.Synth.error_to_string e)
+  | Ok p ->
+      Alcotest.(check int) "chunks" 245 (Vulndb.Synth.chunk_count p ~chunk:4096);
+      List.iter
+        (fun (index, size, digest) ->
+          let rs = Vulndb.Synth.chunk_reports p ~seed:1 ~chunk:4096 ~index in
+          Alcotest.(check int) (Printf.sprintf "chunk %d size" index) size
+            (List.length rs);
+          Alcotest.(check string)
+            (Printf.sprintf "chunk %d csv" index)
+            digest
+            (hex (String.concat "" (List.map (fun r -> Vulndb.Csv.of_report r ^ "\n") rs))))
+        [ (0, 4096, "c436118039b089546cdb7ef216b9ecaa");
+          (122, 4096, "ba2bcd483139c4f052ce83019af11031");
+          (244, 576, "45ad1ec43920b263dc7684582a0cee77") ]
+
 (* ---- stats ------------------------------------------------------- *)
 
 let test_stats_breakdown_sorted () =
@@ -242,7 +270,10 @@ let () =
          Alcotest.test_case "deterministic" `Quick test_synth_deterministic;
          Alcotest.test_case "includes curated" `Quick test_synth_includes_curated;
          Alcotest.test_case "id spaces disjoint" `Quick test_synth_ids_disjoint;
-         QCheck_alcotest.to_alcotest prop_synth_any_seed_matches_figure1 ]);
+         QCheck_alcotest.to_alcotest prop_synth_any_seed_matches_figure1;
+         Alcotest.test_case "legacy csv digest pinned" `Quick test_synth_legacy_digest;
+         Alcotest.test_case "million-plan chunk digests pinned" `Quick
+           test_synth_million_chunk_digests ]);
       ("stats",
        [ Alcotest.test_case "breakdown sorted" `Quick test_stats_breakdown_sorted;
          Alcotest.test_case "flaw breakdown" `Quick test_stats_flaw_breakdown ]) ]
