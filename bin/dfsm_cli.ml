@@ -908,8 +908,9 @@ let serve_cmd =
              responses on stdout.  Bounded admission with typed load-shedding, \
              per-request supervision (retry, per-class circuit breakers, fuel \
              deadlines, quarantine), graceful drain on EOF, shutdown request, \
-             SIGTERM or SIGINT.  The response stream is byte-identical at \
-             every $(b,-j).")
+             SIGTERM or SIGINT.  Requests run one at a time on one domain, \
+             so $(b,-j) changes nothing: the response stream is \
+             byte-identical at every value.")
     Term.(ret (const serve $ jobs_arg $ store_arg $ capacity_arg $ fuel_arg
                $ max_line_arg $ seed_arg $ trace_arg $ metrics_file_arg))
 

@@ -21,11 +21,8 @@ type report = {
    installed injector or not: the table is [Seam_free].  Hashconsing
    ([Primitive.make] interns every predicate) makes the marshal image's
    sharing a function of structure, so two independently built but
-   identical models collide on the same key.  Model digests are
-   additionally cached by physical identity: a model is built once and
-   analyzed against many scenarios, so the expensive half of the key is
-   paid once per model and a warm lookup costs only the (small)
-   scenario digest.  The compute-once table itself is [Store.Memo]. *)
+   identical models collide on the same key.  The compute-once table
+   itself is [Store.Memo]. *)
 
 type memo_stats = Store.Memo.stats = { lookups : int; hits : int; misses : int }
 
@@ -34,69 +31,29 @@ let memo : Trace.t Store.Memo.t =
 
 let analyze_allocs = Obs.Allocs.scope "pfsm.analyze"
 
-(* Identity-keyed model-digest cache, bounded.
+(* Both halves of the key are cached by physical identity in bounded
+   [Store.Digest_cache] rings: models and scenario envs are immutable,
+   and a model is built once and analyzed against scenarios that are
+   themselves built once (serve's per-app table), so a warm lookup
+   pays no Marshal or MD5 at all. *)
 
-   The old shape — an unbounded assoc list — retained every model ever
-   digested for the life of the process (a GC leak across chaos/bench
-   sweeps, which build fresh models per leg) and scanned O(n) under
-   the lock.  This is a fixed-capacity FIFO ring: an eviction only
-   costs a recompute of that model's digest, never a wrong answer, so
-   correctness and determinism are unaffected by the bound. *)
+let model_digests : Model.t Store.Digest_cache.t = Store.Digest_cache.create ()
 
-let digest_cache_capacity = 64
+let env_digests : Env.t Store.Digest_cache.t = Store.Digest_cache.create ()
 
-type digest_slot = { d_model : Model.t; d_digest : string }
+type digest_cache_stats = Store.Digest_cache.stats = {
+  entries : int;
+  capacity : int;
+  evictions : int;
+}
 
-let digest_lock = Mutex.create ()
-
-let digest_ring : digest_slot option array =
-  Array.make digest_cache_capacity None
-
-let digest_next = ref 0 (* next insertion slot, under [digest_lock] *)
-let digest_evictions = ref 0
-
-type digest_cache_stats = { entries : int; capacity : int; evictions : int }
-
-let digest_cache_stats () =
-  Mutex.protect digest_lock (fun () ->
-      let entries =
-        Array.fold_left
-          (fun acc s -> match s with Some _ -> acc + 1 | None -> acc)
-          0 digest_ring
-      in
-      { entries; capacity = digest_cache_capacity; evictions = !digest_evictions })
-
-let digest_find_locked model =
-  let found = ref None in
-  Array.iter
-    (fun s ->
-      match s with
-      | Some { d_model; d_digest } when d_model == model ->
-          found := Some d_digest
-      | _ -> ())
-    digest_ring;
-  !found
-
-let model_digest model =
-  match Mutex.protect digest_lock (fun () -> digest_find_locked model) with
-  | Some d -> d
-  | None ->
-      let d = Digest.string (Marshal.to_string model [ Marshal.Closures ]) in
-      Mutex.protect digest_lock (fun () ->
-          (* a duplicate insert under a race is harmless (same digest) *)
-          if digest_find_locked model = None then begin
-            let i = !digest_next in
-            if digest_ring.(i) <> None then incr digest_evictions;
-            digest_ring.(i) <- Some { d_model = model; d_digest = d };
-            digest_next := (i + 1) mod digest_cache_capacity
-          end);
-      d
+let digest_cache_stats () = Store.Digest_cache.stats model_digests
 
 (* hex spelling: the same key serves the memory tier and the store
    (store keys must be lowercase hex) *)
 let memo_key model env =
-  Digest.to_hex (model_digest model)
-  ^ Digest.to_hex (Digest.string (Marshal.to_string env [ Marshal.Closures ]))
+  Store.Digest_cache.find model_digests model Store.Digest_cache.marshal_hex
+  ^ Store.Digest_cache.find env_digests env Store.Digest_cache.marshal_hex
 
 (* Persistent tier: when the CLI has installed an ambient store, an
    in-memory miss consults it before computing and a computed trace is

@@ -33,9 +33,10 @@ val analyze : ?par:bool -> ?memo:bool -> Model.t -> scenarios:Env.t list -> repo
     model digest x scenario digest — each the MD5 of the marshal
     image, closures included; hashconsed predicates make that image
     structure-determined, so independently constructed but identical
-    models share entries.  Model digests are cached by physical
-    identity (a model is analyzed against many scenarios), so a warm
-    lookup pays only the small scenario digest.  The table is a
+    models share entries.  Both digests are cached by physical
+    identity ({!Store.Digest_cache}; models and envs are immutable), so
+    a warm lookup of a model and a scenario built once pays no digest
+    at all.  The table is a
     {!Store.Memo} of a seam-free kernel: compute-once, deterministic
     counters, served under any injector. *)
 
@@ -53,13 +54,20 @@ type memo_stats = Store.Memo.stats = { lookups : int; hits : int; misses : int }
 val memo_stats : unit -> memo_stats
 (** Also counted in the [pfsm.memo.{lookups,hits,misses}] metrics. *)
 
-type digest_cache_stats = { entries : int; capacity : int; evictions : int }
+val memo_key : Model.t -> Env.t -> string
+(** The memo and store key of a [(model, scenario)] pair: the hex
+    model digest followed by the hex scenario digest. *)
+
+type digest_cache_stats = Store.Digest_cache.stats = {
+  entries : int;
+  capacity : int;
+  evictions : int;
+}
 
 val digest_cache_stats : unit -> digest_cache_stats
-(** The identity-keyed model-digest cache is a fixed-capacity FIFO
-    ring ([entries <= capacity] always — the unbounded assoc list it
-    replaces retained every model forever).  An eviction only costs a
-    digest recompute, never a wrong answer. *)
+(** The model-digest ring ({!Store.Digest_cache}): [entries <=
+    capacity] always; an eviction only costs a digest recompute, never
+    a wrong answer. *)
 
 val memo_reset : unit -> unit
 (** Drop all entries and zero the counters — run this at the start of

@@ -41,13 +41,19 @@ let run ?(label = "supervised") ?(config = default_config) ?checkpoint
      outcome depends on how often they ran (fail-twice-then-succeed
      fakes) still report identically.  Requires only that distinct
      items do not share mutable state.  Speculation is skipped under
-     [stop_after] (items past the kill must never execute) and under
-     an active fault injector (its PRNG stream is order-sensitive).
+     [stop_after] (items past the kill must never execute), under an
+     active fault injector (its PRNG stream is order-sensitive) and
+     under an ambient store (an item the replay quarantines as
+     [Breaker_open] must never have run and written to the store).
      It is NOT skipped at [-j 1]: the Par map then runs sequentially
      with identical outcomes, which keeps the item spans of a traced
      run at the same (epoch, slot) coordinates for every job count. *)
   let speculated : (string, _ result) Hashtbl.t = Hashtbl.create 16 in
-  if parallel && stop_after = None && Fault.Hooks.current () = None then begin
+  if
+    parallel && stop_after = None
+    && Fault.Hooks.current () = None
+    && Store.Handle.get () = None
+  then begin
     let fresh =
       List.filter
         (fun it ->

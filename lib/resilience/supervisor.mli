@@ -65,4 +65,6 @@ val run :
     accounting stays exactly-once and the outcome is byte-identical to
     the sequential run for any job count — provided distinct items do
     not share mutable state.  Ignored (safely sequential) under
-    [stop_after], an active fault injector, or [-j 1]. *)
+    [stop_after], an active fault injector, or an installed
+    {!Store.Handle}: an item the replay quarantines as [Breaker_open]
+    never runs, so it never writes to the store. *)

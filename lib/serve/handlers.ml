@@ -98,11 +98,13 @@ let lint ~spend target =
       in
       lint_result ~target reports
   | name -> (
-      match List.assoc_opt name Minic.Corpus.all with
+      match List.find_opt (fun (label, _) -> String.equal label name) Minic.Corpus.all with
       | None -> reject "unknown corpus variant: %s" name
-      | Some func ->
+      | Some (label, func) ->
           spend 1;
-          lint_result ~target [ Staticcheck.Linter.lint_cached ~config name func ])
+          (* the corpus's own label, not the request's copy: its
+             identity is stable, so the report key stays cached *)
+          lint_result ~target [ Staticcheck.Linter.lint_cached ~config label func ])
 
 let analyze ~spend app =
   let model, scenarios = build app in

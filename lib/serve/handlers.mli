@@ -2,9 +2,10 @@
 
     Every handler is deterministic — its result (and its fuel
     consumption) is a pure function of the request and the attempt
-    number — so responses are byte-identical whether the work ran
-    speculatively on a pool domain or inline in the scheduler's
-    replay.
+    number — so responses are byte-identical at every job count, and
+    whether a kernel's result was computed or remembered.  The
+    scheduler calls handlers inline, one attempt at a time, in
+    admission order.
 
     Fuel: each attempt runs under its own {!Resilience.Deadline} of
     [fuel] units and spends them at defined points (one per corpus

@@ -13,27 +13,32 @@ let error pos msg = raise (Bad (Printf.sprintf "at %d: %s" pos msg))
 
 (* ---- parser ------------------------------------------------------- *)
 
+(* The cursor scans [src] by index; [c.pos = String.length src] is the
+   end of input.  No option is allocated per character, and strings
+   without escapes are one [String.sub]. *)
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let at_end c = c.pos >= String.length c.src
 
-let advance c = c.pos <- c.pos + 1
+(* the current character; only valid when not [at_end] *)
+let cur c = String.unsafe_get c.src c.pos
 
 let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance c;
-      skip_ws c
-  | _ -> ()
+  if not (at_end c) then
+    match cur c with
+    | ' ' | '\t' | '\n' | '\r' ->
+        c.pos <- c.pos + 1;
+        skip_ws c
+    | _ -> ()
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | _ -> error c.pos (Printf.sprintf "expected %C" ch)
+  if (not (at_end c)) && cur c = ch then c.pos <- c.pos + 1
+  else error c.pos (Printf.sprintf "expected %C" ch)
 
 let literal c word value =
   let n = String.length word in
-  if c.pos + n <= String.length c.src && String.sub c.src c.pos n = word then begin
+  let rec matches i = i = n || (c.src.[c.pos + i] = word.[i] && matches (i + 1)) in
+  if c.pos + n <= String.length c.src && matches 0 then begin
     c.pos <- c.pos + n;
     value
   end
@@ -45,61 +50,81 @@ let hex_digit = function
   | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
   | _ -> -1
 
+(* the escape at [c.pos] (just past its backslash), appended to [b] *)
+let parse_escape c b =
+  if at_end c then error c.pos "bad escape";
+  (match cur c with
+   | '"' -> Buffer.add_char b '"'
+   | '\\' -> Buffer.add_char b '\\'
+   | '/' -> Buffer.add_char b '/'
+   | 'b' -> Buffer.add_char b '\b'
+   | 'f' -> Buffer.add_char b '\012'
+   | 'n' -> Buffer.add_char b '\n'
+   | 'r' -> Buffer.add_char b '\r'
+   | 't' -> Buffer.add_char b '\t'
+   | 'u' ->
+       let code = ref 0 in
+       for _ = 1 to 4 do
+         c.pos <- c.pos + 1;
+         let d = if at_end c then -1 else hex_digit (cur c) in
+         if d < 0 then error c.pos "bad \\u escape";
+         code := (!code * 16) + d
+       done;
+       Buffer.add_char b (if !code < 128 then Char.chr !code else '?')
+   | _ -> error c.pos "bad escape");
+  c.pos <- c.pos + 1
+
 let parse_string c =
   expect c '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> error c.pos "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> (
-        advance c;
-        (match peek c with
-         | Some '"' -> Buffer.add_char b '"'
-         | Some '\\' -> Buffer.add_char b '\\'
-         | Some '/' -> Buffer.add_char b '/'
-         | Some 'b' -> Buffer.add_char b '\b'
-         | Some 'f' -> Buffer.add_char b '\012'
-         | Some 'n' -> Buffer.add_char b '\n'
-         | Some 'r' -> Buffer.add_char b '\r'
-         | Some 't' -> Buffer.add_char b '\t'
-         | Some 'u' ->
-             let code = ref 0 in
-             for _ = 1 to 4 do
-               advance c;
-               match peek c with
-               | Some ch when hex_digit ch >= 0 ->
-                   code := (!code * 16) + hex_digit ch
-               | _ -> error c.pos "bad \\u escape"
-             done;
-             Buffer.add_char b (if !code < 128 then Char.chr !code else '?')
-         | _ -> error c.pos "bad escape");
-        advance c;
-        go ())
-    | Some ch when Char.code ch < 0x20 -> error c.pos "control char in string"
-    | Some ch ->
-        Buffer.add_char b ch;
-        advance c;
-        go ()
+  let start = c.pos in
+  (* the common case: no escape before the closing quote *)
+  let rec plain () =
+    if at_end c then error c.pos "unterminated string"
+    else
+      match cur c with
+      | '"' ->
+          c.pos <- c.pos + 1;
+          String.sub c.src start (c.pos - 1 - start)
+      | '\\' -> escaped ()
+      | ch when Char.code ch < 0x20 -> error c.pos "control char in string"
+      | _ ->
+          c.pos <- c.pos + 1;
+          plain ()
+  and escaped () =
+    let b = Buffer.create (2 * (c.pos - start) + 16) in
+    Buffer.add_substring b c.src start (c.pos - start);
+    let rec go () =
+      if at_end c then error c.pos "unterminated string"
+      else
+        match cur c with
+        | '"' -> c.pos <- c.pos + 1
+        | '\\' ->
+            c.pos <- c.pos + 1;
+            parse_escape c b;
+            go ()
+        | ch when Char.code ch < 0x20 -> error c.pos "control char in string"
+        | ch ->
+            Buffer.add_char b ch;
+            c.pos <- c.pos + 1;
+            go ()
+    in
+    go ();
+    Buffer.contents b
   in
-  go ();
-  Buffer.contents b
+  plain ()
 
 let parse_number c =
   let start = c.pos in
   let is_float = ref false in
-  let rec go () =
-    match peek c with
-    | Some ('0' .. '9' | '-' | '+') ->
-        advance c;
-        go ()
-    | Some ('.' | 'e' | 'E') ->
+  let continue = ref true in
+  while !continue && not (at_end c) do
+    match cur c with
+    | '0' .. '9' | '-' | '+' -> c.pos <- c.pos + 1
+    | '.' | 'e' | 'E' ->
         is_float := true;
-        advance c;
-        go ()
-    | _ -> ()
-  in
-  go ();
+        c.pos <- c.pos + 1
+    | _ -> continue := false
+  done;
   let s = String.sub c.src start (c.pos - start) in
   if !is_float then
     match float_of_string_opt s with
@@ -110,108 +135,134 @@ let parse_number c =
     | Some n -> Int n
     | None -> error start "bad number"
 
+(* [close] ends the container; [item] parses one element *)
+let parse_seq c ~close ~what item =
+  skip_ws c;
+  if (not (at_end c)) && cur c = close then begin
+    c.pos <- c.pos + 1;
+    []
+  end
+  else
+    let rec items acc =
+      let x = item () in
+      skip_ws c;
+      if at_end c then error c.pos what
+      else
+        match cur c with
+        | ',' ->
+            c.pos <- c.pos + 1;
+            items (x :: acc)
+        | ch when ch = close ->
+            c.pos <- c.pos + 1;
+            List.rev (x :: acc)
+        | _ -> error c.pos what
+    in
+    items []
+
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> error c.pos "unexpected end of input"
-  | Some '{' ->
-      advance c;
-      skip_ws c;
-      if peek c = Some '}' then begin
-        advance c;
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws c;
-          let key = parse_string c in
-          skip_ws c;
-          expect c ':';
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              fields ((key, v) :: acc)
-          | Some '}' ->
-              advance c;
-              List.rev ((key, v) :: acc)
-          | _ -> error c.pos "expected ',' or '}'"
-        in
-        Obj (fields [])
-      end
-  | Some '[' ->
-      advance c;
-      skip_ws c;
-      if peek c = Some ']' then begin
-        advance c;
-        List []
-      end
-      else begin
-        let rec elems acc =
-          let v = parse_value c in
-          skip_ws c;
-          match peek c with
-          | Some ',' ->
-              advance c;
-              elems (v :: acc)
-          | Some ']' ->
-              advance c;
-              List.rev (v :: acc)
-          | _ -> error c.pos "expected ',' or ']'"
-        in
-        List (elems [])
-      end
-  | Some '"' -> Str (parse_string c)
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> error c.pos (Printf.sprintf "unexpected %C" ch)
+  if at_end c then error c.pos "unexpected end of input";
+  match cur c with
+  | '{' ->
+      c.pos <- c.pos + 1;
+      Obj
+        (parse_seq c ~close:'}' ~what:"expected ',' or '}'" (fun () ->
+             skip_ws c;
+             let key = parse_string c in
+             skip_ws c;
+             expect c ':';
+             (key, parse_value c)))
+  | '[' ->
+      c.pos <- c.pos + 1;
+      List (parse_seq c ~close:']' ~what:"expected ',' or ']'" (fun () -> parse_value c))
+  | '"' -> Str (parse_string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> error c.pos (Printf.sprintf "unexpected %C" ch)
 
 let parse src =
   let c = { src; pos = 0 } in
   match parse_value c with
   | v ->
       skip_ws c;
-      if c.pos = String.length src then Ok v
+      if at_end c then Ok v
       else Error (Printf.sprintf "at %d: trailing garbage" c.pos)
   | exception Bad msg -> Error msg
 
 (* ---- printer ------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | ch when Char.code ch < 0x20 ->
-           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code ch))
-       | ch -> Buffer.add_char b ch)
-    s;
-  Buffer.contents b
+let needs_escape s =
+  let rec go i =
+    i < String.length s
+    && (match String.unsafe_get s i with
+        | '"' | '\\' -> true
+        | ch -> Char.code ch < 0x20 || go (i + 1))
+  in
+  go 0
 
-let rec to_string = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Int n -> string_of_int n
+(* the body of a string literal; a string that needs no escape is
+   appended as is *)
+let add_escaped b s =
+  if not (needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | ch when Char.code ch < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code ch)
+        | ch -> Buffer.add_char b ch)
+      s
+
+let escape s =
+  if not (needs_escape s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    add_escaped b s;
+    Buffer.contents b
+  end
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  add_escaped b s;
+  Buffer.add_char b '"'
+
+let rec write b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+  | Int n -> Buffer.add_string b (string_of_int n)
   | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-      else Printf.sprintf "%.6g" f
-  | Str s -> "\"" ^ escape s ^ "\""
-  | List xs -> "[" ^ String.concat ", " (List.map to_string xs) ^ "]"
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.bprintf b "%.1f" f
+      else Printf.bprintf b "%.6g" f
+  | Str s -> add_quoted b s
+  | List xs ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_string b ", ";
+          write b x)
+        xs;
+      Buffer.add_char b ']'
   | Obj fields ->
-      "{"
-      ^ String.concat ", "
-          (List.map
-             (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ to_string v)
-             fields)
-      ^ "}"
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string b ", ";
+          add_quoted b k;
+          Buffer.add_string b ": ";
+          write b v)
+        fields;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  write b v;
+  Buffer.contents b
 
 (* ---- accessors ---------------------------------------------------- *)
 

@@ -93,12 +93,11 @@ let overloaded ~id ~depth ~capacity =
     body = [ ("queue", Json.Int depth); ("capacity", Json.Int capacity) ] }
 
 let render r =
-  let opt name = function
-    | None -> []
-    | Some n -> [ (name, Json.Int n) ]
+  let opt name v rest =
+    match v with None -> rest | Some n -> (name, Json.Int n) :: rest
   in
   Json.to_string
     (Json.Obj
-       ([ ("id", Json.Str r.id);
-          ("status", Json.Str (status_to_string r.status)) ]
-        @ opt "latency" r.latency @ opt "attempts" r.attempts @ r.body))
+       (("id", Json.Str r.id)
+        :: ("status", Json.Str (status_to_string r.status))
+        :: opt "latency" r.latency (opt "attempts" r.attempts r.body)))

@@ -157,152 +157,123 @@ let run ?(config = default_config) ~emit source =
       { R.Run_report.id; outcome; from_checkpoint = false }
       :: !rev_report_items
   in
-  (* One batch: the supervision replay of everything currently queued.
-     Mirrors Resilience.Supervisor: speculate first attempts on the
-     pool (at every -j, skipped under an active injector), then replay
-     sequentially in admission order, owning the clock, the breakers
-     and the response stream. *)
   let invoke_handler (p : pending) ~attempt =
-    Obs.Span.with_span ~cat:"serve"
-      ~args:
-        [ ("id", p.p_id); ("class", Protocol.work_class p.p_work);
-          ("attempt", string_of_int attempt) ]
-      ("request:" ^ p.p_id)
-      (fun () -> Handlers.run ~attempt ~fuel:p.p_fuel p.p_work)
+    let run () = Handlers.run ~attempt ~fuel:p.p_fuel p.p_work in
+    (* the span's name and args are built only when a trace records them *)
+    if Obs.Trace.enabled () then
+      Obs.Span.with_span ~cat:"serve"
+        ~args:
+          [ ("id", p.p_id); ("class", Protocol.work_class p.p_work);
+            ("attempt", string_of_int attempt) ]
+        ("request:" ^ p.p_id) run
+    else run ()
   in
+  (* per-request degradation accounting: a request counts (once) when
+     any of its attempts hit store corruption or a failed store write,
+     i.e. it completed by recompute rather than by trusting the disk *)
+  let observed_invoke ~degraded p ~attempt =
+    match Store.Handle.get () with
+    | None -> invoke_handler p ~attempt
+    | Some disk ->
+        let before = Store.Disk.stats disk in
+        Fun.protect
+          (fun () -> invoke_handler p ~attempt)
+          ~finally:(fun () ->
+            let after = Store.Disk.stats disk in
+            if
+              (not !degraded)
+              && (after.Store.Disk.corrupt > before.Store.Disk.corrupt
+                 || after.Store.Disk.write_failures
+                    > before.Store.Disk.write_failures)
+            then begin
+              degraded := true;
+              incr store_degraded
+            end)
+  in
+  (* One request's supervision: attempts, backoff, breaker and
+     quarantine, all on the replay's own clock. *)
+  let supervise (p : pending) =
+    let degraded = ref false in
+    let cls = Protocol.work_class p.p_work in
+    let breaker = breaker_of cls in
+    (* the backoff before attempt [k + 1]; the schedule is only drawn
+       when a retry happens *)
+    let delay k =
+      List.nth
+        (R.Retry.delays
+           { config.retry with
+             R.Retry.seed = config.seed lxor Hashtbl.hash (p.p_id, p.p_arrived) })
+        (k - 1)
+    in
+    let quarantine ~attempts cause =
+      report_item p.p_id (R.Run_report.Quarantined { attempts; cause });
+      respond (Protocol.quarantined ~id:p.p_id ~attempts cause)
+    in
+    (* out of retries (or the class breaker never recovered):
+       quarantine with [cause]; else back off and re-attempt *)
+    let rec retry_or k cause =
+      if k >= config.retry.R.Retry.max_attempts then quarantine ~attempts:k cause
+      else begin
+        let d = delay k in
+        vt := !vt + d;
+        waited := !waited + d;
+        Obs.Span.instant ~cat:"serve"
+          ~args:
+            [ ("id", p.p_id); ("delay", string_of_int d); ("vt", string_of_int !vt) ]
+          "backoff";
+        attempt (k + 1)
+      end
+    and attempt k =
+      incr vt;
+      if not (R.Breaker.acquire breaker ~now:!vt) then
+        retry_or k (R.Quarantine.Breaker_open { resource = cls })
+      else
+        match observed_invoke ~degraded p ~attempt:k with
+        | Handlers.Done payload, spent ->
+            vt := !vt + spent;
+            R.Breaker.success breaker;
+            let latency = !vt - p.p_arrived in
+            rev_latencies := latency :: !rev_latencies;
+            Obs.Metrics.incr m_completed;
+            Obs.Metrics.observe m_latency latency;
+            report_item p.p_id (R.Run_report.Completed { attempts = k });
+            respond (Protocol.ok ~id:p.p_id ~latency ~attempts:k payload)
+        | Handlers.Deadline_hit { spent }, _ ->
+            (* the request's own fuel ran out: not an environmental
+               failure, so the breaker does not trip — a typed
+               deadline response, terminally *)
+            vt := !vt + spent;
+            R.Breaker.success breaker;
+            report_item p.p_id
+              (R.Run_report.Quarantined
+                 { attempts = k; cause = R.Quarantine.Deadline_exceeded { spent } });
+            respond (Protocol.deadline ~id:p.p_id ~attempts:k ~spent ())
+        | exception Fault.Condition.Simulated c ->
+            R.Breaker.failure breaker ~now:!vt ~cause:(Fault.Condition.to_string c);
+            retry_or k (R.Quarantine.Retries_exhausted { attempts = k; last = c })
+        | exception R.Quarantine.Reject detail ->
+            R.Breaker.failure breaker ~now:!vt ~cause:detail;
+            report_item p.p_id
+              (R.Run_report.Quarantined
+                 { attempts = k; cause = R.Quarantine.Rejected { detail } });
+            respond (Protocol.error ~id:p.p_id ~attempts:k detail)
+        | exception e ->
+            let exn = Printexc.to_string e in
+            R.Breaker.failure breaker ~now:!vt ~cause:exn;
+            quarantine ~attempts:k (R.Quarantine.Crash { exn })
+    in
+    attempt 1
+  in
+  (* One batch: everything currently queued, replayed inline in
+     admission order (DESIGN §9 says why batches do not go to the
+     pool). *)
   let process_batch () =
     match Admission.drain queue with
     | [] -> ()
     | items ->
         incr batches;
         Obs.Metrics.incr m_batches;
-        let speculated : (int, _ result) Hashtbl.t = Hashtbl.create 16 in
-        (* speculation is skipped under an active injector (event
-           stream must stay sequential) and under an ambient store:
-           sequential-only attempts give every request a well-defined
-           store delta, which is what makes [store_degraded] and the
-           summary's store stats deterministic at every -j *)
-        if Fault.Hooks.current () = None && Store.Handle.get () = None then
-          Par.map_list ~label:"serve.batch"
-            (fun (i, p) ->
-               let r =
-                 match invoke_handler p ~attempt:1 with
-                 | v -> Ok v
-                 | exception e -> Error e
-               in
-               (i, r))
-            (List.mapi (fun i p -> (i, p)) items)
-          |> List.iter (fun (i, r) -> Hashtbl.replace speculated i r);
-        List.iteri
-          (fun i (p : pending) ->
-             (* per-request degradation accounting: a request counts
-                (once) when any of its attempts hit store corruption
-                or a failed store write — i.e. it completed by
-                recompute rather than by trusting the disk *)
-             let degraded = ref false in
-             let observed_invoke ~attempt =
-               match Store.Handle.get () with
-               | None -> invoke_handler p ~attempt
-               | Some disk ->
-                   let before = Store.Disk.stats disk in
-                   Fun.protect
-                     (fun () -> invoke_handler p ~attempt)
-                     ~finally:(fun () ->
-                       let after = Store.Disk.stats disk in
-                       if
-                         (not !degraded)
-                         && (after.Store.Disk.corrupt > before.Store.Disk.corrupt
-                            || after.Store.Disk.write_failures
-                               > before.Store.Disk.write_failures)
-                       then begin
-                         degraded := true;
-                         incr store_degraded
-                       end)
-             in
-             let invoke ~attempt =
-               if attempt = 1 then
-                 match Hashtbl.find_opt speculated i with
-                 | Some r -> (
-                     Hashtbl.remove speculated i;
-                     match r with Ok v -> v | Error e -> raise e)
-                 | None -> observed_invoke ~attempt
-               else observed_invoke ~attempt
-             in
-             let cls = Protocol.work_class p.p_work in
-             let breaker = breaker_of cls in
-             let schedule =
-               Array.of_list
-                 (R.Retry.delays
-                    { config.retry with
-                      R.Retry.seed =
-                        config.seed lxor Hashtbl.hash (p.p_id, p.p_arrived) })
-             in
-             let quarantine ~attempts cause =
-               report_item p.p_id (R.Run_report.Quarantined { attempts; cause });
-               respond (Protocol.quarantined ~id:p.p_id ~attempts cause)
-             in
-             (* out of retries (or the class breaker never recovered):
-                quarantine with [cause]; else back off and re-attempt *)
-             let rec retry_or k cause =
-               if k >= config.retry.R.Retry.max_attempts then
-                 quarantine ~attempts:k cause
-               else begin
-                 let d = schedule.(k - 1) in
-                 vt := !vt + d;
-                 waited := !waited + d;
-                 Obs.Span.instant ~cat:"serve"
-                   ~args:
-                     [ ("id", p.p_id); ("delay", string_of_int d);
-                       ("vt", string_of_int !vt) ]
-                   "backoff";
-                 attempt (k + 1)
-               end
-             and attempt k =
-               incr vt;
-               if not (R.Breaker.acquire breaker ~now:!vt) then
-                 retry_or k (R.Quarantine.Breaker_open { resource = cls })
-               else
-                 match invoke ~attempt:k with
-                 | Handlers.Done payload, spent ->
-                     vt := !vt + spent;
-                     R.Breaker.success breaker;
-                     let latency = !vt - p.p_arrived in
-                     rev_latencies := latency :: !rev_latencies;
-                     Obs.Metrics.incr m_completed;
-                     Obs.Metrics.observe m_latency latency;
-                     report_item p.p_id (R.Run_report.Completed { attempts = k });
-                     respond (Protocol.ok ~id:p.p_id ~latency ~attempts:k payload)
-                 | Handlers.Deadline_hit { spent }, _ ->
-                     (* the request's own fuel ran out: not an
-                        environmental failure, so the breaker does not
-                        trip — a typed deadline response, terminally *)
-                     vt := !vt + spent;
-                     R.Breaker.success breaker;
-                     report_item p.p_id
-                       (R.Run_report.Quarantined
-                          { attempts = k;
-                            cause = R.Quarantine.Deadline_exceeded { spent } });
-                     respond
-                       (Protocol.deadline ~id:p.p_id ~attempts:k ~spent ())
-                 | exception Fault.Condition.Simulated c ->
-                     R.Breaker.failure breaker ~now:!vt
-                       ~cause:(Fault.Condition.to_string c);
-                     retry_or k
-                       (R.Quarantine.Retries_exhausted { attempts = k; last = c })
-                 | exception R.Quarantine.Reject detail ->
-                     R.Breaker.failure breaker ~now:!vt ~cause:detail;
-                     report_item p.p_id
-                       (R.Run_report.Quarantined
-                          { attempts = k;
-                            cause = R.Quarantine.Rejected { detail } });
-                     respond (Protocol.error ~id:p.p_id ~attempts:k detail)
-                 | exception e ->
-                     let exn = Printexc.to_string e in
-                     R.Breaker.failure breaker ~now:!vt ~cause:exn;
-                     quarantine ~attempts:k (R.Quarantine.Crash { exn })
-             in
-             attempt 1)
-          items
+        List.iter supervise items
   in
   (* A line that never became an admitted request: typed error
      response, counted as [malformed], NOT as a request error — the
@@ -366,8 +337,8 @@ let run ?(config = default_config) ~emit source =
           let n = String.length raw in
           if n > 0 && raw.[n - 1] = '\r' then String.sub raw 0 (n - 1) else raw
         in
-        let line_id = Printf.sprintf "line:%d" !line_no in
-        if line = "" || (String.length line > 0 && line.[0] = '#') then loop ()
+        let line_id = "line:" ^ string_of_int !line_no in
+        if line = "" || line.[0] = '#' then loop ()
         else if String.length line > config.max_line then begin
           bad_line ~id:line_id
             (Printf.sprintf "oversized request: %d bytes > max %d"

@@ -1,14 +1,14 @@
-(** The request loop: admission → supervision → pool → trace.
+(** The request loop: admission → supervision → trace.
 
     {!run} pulls request lines from a source, admits work requests
     into the bounded {!Admission} queue (shedding with typed
     [overloaded] once it is full), and at every scheduling tick — a
     [flush] request, [shutdown], end of input — drains the queue as
-    one batch onto the {!Par} domain pool.  Each batch request is
-    supervised with the {!Resilience} primitives: a deterministic
-    per-request retry schedule, a circuit {!Resilience.Breaker} per
-    request {e class} (so a poison class trips without taking down
-    the others — breakers persist across batches), per-attempt
+    one batch.  Each batch request is supervised with the
+    {!Resilience} primitives: a deterministic per-request retry
+    schedule, a circuit {!Resilience.Breaker} per request {e class}
+    (so a poison class trips without taking down the others —
+    breakers persist across batches), per-attempt
     {!Resilience.Deadline} fuel inside the handler, and typed
     quarantine for crashes.  Every admitted request gets exactly one
     terminal response.
@@ -20,14 +20,12 @@
     whole response stream (summary line included) is byte-identical
     at every [-j].
 
-    Parallelism follows the {!Resilience.Supervisor} speculation
-    pattern: first attempts of a batch run on the pool up front, the
-    sequential replay consumes each result at the request's first
-    invocation and owns every piece of shared state (clock,
-    breakers, responses).  Speculation runs at every [-j] so traced
-    spans land at the same coordinates for every job count; it is
-    skipped under an active fault injector (its PRNG stream is
-    order-sensitive). *)
+    A batch replays inline, in admission order, on the calling
+    domain: the replay owns every piece of shared state (clock,
+    breakers, responses, store accounting), and a warm request costs
+    a few microseconds, far less than a hand-off to the {!Par} pool
+    (DESIGN §9).  No handler reaches the pool either, so the job
+    count does not change what runs. *)
 
 type config = {
   capacity : int;      (** admission queue bound *)
@@ -63,9 +61,9 @@ type summary = {
   store_degraded : int;
       (** requests that hit store corruption or a failed store write
           during some attempt and completed by recompute instead;
-          always 0 without a store.  Speculation is disabled while a
-          store is installed so this accounting (and the store delta)
-          is per-request well-defined and [-j]-independent. *)
+          always 0 without a store.  Attempts run one at a time, so
+          this accounting (and the store delta) is per-request
+          well-defined and [-j]-independent. *)
 }
 
 val accounted : summary -> bool

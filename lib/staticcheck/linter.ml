@@ -30,13 +30,17 @@ let compute ~config (f : A.func) =
    same whether the report was computed, remembered or read from the
    store. *)
 let observed (f : A.func) report =
-  Obs.Span.with_span ~cat:"staticcheck" ~args:[ ("func", f.A.name) ]
-    ("lint:" ^ f.A.name)
-  @@ fun () ->
-  Obs.Metrics.incr m_functions;
-  let r = report () in
-  Obs.Metrics.add m_findings (List.length r.findings);
-  r
+  let counted () =
+    Obs.Metrics.incr m_functions;
+    let r = report () in
+    Obs.Metrics.add m_findings (List.length r.findings);
+    r
+  in
+  (* the span's name and args are built only when a trace records them *)
+  if Obs.Trace.enabled () then
+    Obs.Span.with_span ~cat:"staticcheck" ~args:[ ("func", f.A.name) ]
+      ("lint:" ^ f.A.name) counted
+  else counted ()
 
 let lint ?(config = Absint.default_config) f = observed f (fun () -> compute ~config f)
 
@@ -116,9 +120,16 @@ let store_tag = "lint-report"
 
 let memo : report Store.Memo.t = Store.Memo.create ~kernel:Store.Memo.Touches_seams ()
 
+(* the AST and the config are immutable, so the digest of a
+   (label, function, config) triple is cached by the identity of its
+   three parts *)
+let report_keys : (string * A.func * Absint.config) Store.Digest_cache.t =
+  Store.Digest_cache.create
+    ~same:(fun (l, f, c) (l', f', c') -> l == l' && f == f' && c == c')
+    ()
+
 let report_key ~config label f =
-  Digest.to_hex
-    (Digest.string (Marshal.to_string (label, f, config) [ Marshal.Closures ]))
+  Store.Digest_cache.find report_keys (label, f, config) Store.Digest_cache.marshal_hex
 
 let lint_cached ~config label f =
   observed f (fun () ->

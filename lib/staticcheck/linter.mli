@@ -30,6 +30,11 @@ val lint_cached : config:Absint.config -> string -> Minic.Ast.func -> report
     [lint:<func>] span and the [staticcheck.*] counts, whichever tier
     answers. *)
 
+val report_key : config:Absint.config -> string -> Minic.Ast.func -> string
+(** The memo and store key of {!lint_cached}: the hex digest of
+    [label x function x config], cached by the physical identity of
+    the three (the AST and the config are immutable). *)
+
 val memo : report Store.Memo.t
 (** The in-memory tier of {!lint_cached}.  Validation replays findings
     through the interpreter, which touches fault seams, so the table is

@@ -15,6 +15,19 @@ let transient failures =
     end
     else "done"
 
+let with_jobs jobs f =
+  let prev = Par.jobs () in
+  Par.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Par.set_jobs prev) f
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 (* ---- retry -------------------------------------------------------- *)
 
 let test_delays () =
@@ -261,6 +274,63 @@ let test_supervisor_breaker_trips () =
         (String.length (List.hd (R.Breaker.trips b)).R.Breaker.cause > 0)
   | bs -> Alcotest.failf "expected 1 breaker, got %d" (List.length bs)
 
+let test_supervisor_no_speculation_under_store () =
+  (* a poison resource trips its breaker, and the items after it are
+     refused with [Breaker_open].  Speculating first attempts would
+     run those items anyway, and their results would already be in
+     the ambient store: under a store, [~parallel:true] must run
+     exactly what the sequential replay runs *)
+  let config =
+    { Sup.default_config with
+      Sup.retry = { R.Retry.default with R.Retry.max_attempts = 2 };
+      breaker = { R.Breaker.failure_threshold = 3; cooldown = 1_000_000 } }
+  in
+  let key id = Digest.to_hex (Digest.string id) in
+  let run ~parallel =
+    let dir = Filename.temp_file "dfsm-supervisor" ".d" in
+    Sys.remove dir;
+    let lock = Mutex.create () and executed = ref [] in
+    let record id = Mutex.protect lock (fun () -> executed := id :: !executed) in
+    let item i =
+      let id = Printf.sprintf "item-%d" i in
+      { Sup.id;
+        resource = "poison";
+        work =
+          (fun () ->
+            record id;
+            if i < 3 then raise (R.Quarantine.Reject "poison")
+            else Store.Handle.cached ~tag:"supervisor-test" ~key:(key id) (fun () -> id)) }
+    in
+    let disk = Store.Disk.open_ ~dir in
+    let out =
+      Store.Handle.with_store (Some disk) (fun () ->
+          with_jobs 2 (fun () -> Sup.run ~config ~parallel (List.init 6 item)))
+    in
+    let disk = Store.Disk.open_ ~dir in
+    let refused =
+      List.filter_map
+        (fun (r : R.Run_report.item) ->
+          match r.R.Run_report.outcome with
+          | R.Run_report.Quarantined { cause = R.Quarantine.Breaker_open _; _ } ->
+              Some r.R.Run_report.id
+          | _ -> None)
+        out.Sup.report.R.Run_report.items
+    in
+    let stored = List.filter (fun id -> Store.Disk.find disk ~key:(key id) <> None) refused in
+    Store.Disk.close disk;
+    rm_rf dir;
+    (out.Sup.report, refused, List.filter (fun id -> List.mem id refused) !executed, stored)
+  in
+  let seq_report, seq_refused, _, _ = run ~parallel:false in
+  let par_report, refused, executed, stored = run ~parallel:true in
+  Alcotest.(check (list string)) "the breaker refuses the rest"
+    [ "item-3"; "item-4"; "item-5" ] seq_refused;
+  Alcotest.(check (list string)) "same items refused" seq_refused refused;
+  Alcotest.(check (list string)) "no refused item executed" [] executed;
+  Alcotest.(check (list string)) "no refused item left a record" [] stored;
+  Alcotest.(check string) "report = the sequential report"
+    (R.Run_report.to_json seq_report) (R.Run_report.to_json par_report)
+
 let flaky_items ~seed n =
   (* n items, deterministically flaky from [seed]; records how often
      each id was analyzed to completion (retries before success are
@@ -428,11 +498,6 @@ let test_ingest_under_bitflip () =
         (R.Run_report.to_json b.R.Ingest.report)
   | _ -> Alcotest.fail "document-level failure under bitflip"
 
-let with_jobs jobs f =
-  let prev = Par.jobs () in
-  Par.set_jobs jobs;
-  Fun.protect ~finally:(fun () -> Par.set_jobs prev) f
-
 let test_ingest_duplicates_parallel_identical () =
   (* duplicate detection used to live inside the per-row work closure
      behind a shared Hashtbl, so speculating rows on pool domains
@@ -569,6 +634,8 @@ let () =
          Alcotest.test_case "deadline quarantines rest" `Quick
            test_supervisor_deadline;
          Alcotest.test_case "breaker trips" `Quick test_supervisor_breaker_trips;
+         Alcotest.test_case "no speculation under a store" `Quick
+           test_supervisor_no_speculation_under_store;
          Alcotest.test_case "resume exactly once" `Quick test_resume_exactly_once;
          QCheck_alcotest.to_alcotest prop_resume_exactly_once ]);
       ("ingest",

@@ -66,6 +66,109 @@ let prop_json_roundtrip =
        | Ok v' -> J.to_string v' = J.to_string v
        | Error _ -> false)
 
+(* ---- json vs the retired codec ------------------------------------ *)
+
+module Ref = Oracles.Json_ref
+
+(* bytes the printer must treat differently: quotes, backslashes,
+   every control byte, DEL and non-ASCII *)
+let tricky_char =
+  QCheck.Gen.(
+    frequency
+      [ (6, printable); (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '/' ]);
+        (2, map Char.chr (int_range 0 0x1f)); (1, map Char.chr (int_range 0x7f 0xff)) ])
+
+let tricky_string = QCheck.Gen.(string_size ~gen:tricky_char (int_range 0 12))
+
+let tricky_float =
+  QCheck.Gen.(
+    oneof
+      [ oneofl
+          [ 0.; -0.; 1.; -1.5; 0.1; 1e15; -1e15; 1e15 -. 1.; 1e16; 123456789012345678.;
+            1e300; 5e-324; Float.nan; Float.infinity; Float.neg_infinity ];
+        map Float.of_int int; float ])
+
+let tricky_json =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [ return J.Null; map (fun b -> J.Bool b) bool; map (fun i -> J.Int i) int;
+        map (fun f -> J.Float f) tricky_float; map (fun s -> J.Str s) tricky_string ]
+  in
+  sized @@ fix (fun self n ->
+      if n <= 0 then scalar
+      else
+        frequency
+          [ (2, scalar);
+            (1, map (fun l -> J.List l) (list_size (int_range 0 4) (self (n / 2))));
+            (1,
+             map (fun ps -> J.Obj ps)
+               (list_size (int_range 0 4) (pair tricky_string (self (n / 2))))) ])
+
+let prop_printer_matches_ref =
+  QCheck.Test.make ~name:"json: to_string = ref printer" ~count:1000
+    (QCheck.make tricky_json ~print:Ref.to_string)
+    (fun v -> J.to_string v = Ref.to_string v)
+
+let prop_escape_matches_ref =
+  QCheck.Test.make ~name:"json: escape = ref escape" ~count:1000
+    (QCheck.make tricky_string ~print:(Printf.sprintf "%S"))
+    (fun s -> J.escape s = Ref.escape s)
+
+(* the same value, or the same error text *)
+let same_parse src =
+  match (J.parse src, Ref.parse src) with
+  | Ok a, Ok b -> compare a b = 0
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+(* bytes that steer the parser: structure, escapes, literal and
+   number prefixes, whitespace, control and non-ASCII bytes *)
+let syntax_char =
+  QCheck.Gen.(
+    frequency
+      [ (4, oneofl (List.of_seq (String.to_seq "{}[]\",:\\/ \t\n\rubfnrt0123456789aeE.-+xl")));
+        (1, printable); (1, map Char.chr (int_range 0 0x1f)); (1, map Char.chr (int_range 0x80 0xff)) ])
+
+let prop_parse_arbitrary_matches_ref =
+  QCheck.Test.make ~name:"json: parse = ref on any bytes" ~count:2000
+    (QCheck.make QCheck.Gen.(string_size ~gen:syntax_char (int_range 0 24)) ~print:(Printf.sprintf "%S"))
+    same_parse
+
+(* a printed document with a few bytes inserted, deleted or replaced *)
+let mutated_doc =
+  let open QCheck.Gen in
+  tricky_json >>= fun v ->
+  let doc = Ref.to_string v in
+  list_size (int_range 0 3) (triple (int_range 0 2) nat syntax_char) >|= fun edits ->
+  List.fold_left
+    (fun d (op, at, ch) ->
+      let n = String.length d in
+      let i = if n = 0 then 0 else at mod (n + 1) in
+      let ins = String.make 1 ch in
+      match op with
+      | 0 -> String.sub d 0 i ^ ins ^ String.sub d i (n - i)
+      | _ when i >= n -> d
+      | 1 -> String.sub d 0 i ^ String.sub d (i + 1) (n - i - 1)
+      | _ -> String.sub d 0 i ^ ins ^ String.sub d (i + 1) (n - i - 1))
+    doc edits
+
+let prop_parse_mutated_matches_ref =
+  QCheck.Test.make ~name:"json: parse = ref on mutated docs" ~count:2000
+    (QCheck.make mutated_doc ~print:(Printf.sprintf "%S"))
+    same_parse
+
+let test_parse_errors_match_ref () =
+  List.iter
+    (fun src ->
+      match (J.parse src, Ref.parse src) with
+      | Error a, Error b -> Alcotest.(check string) (Printf.sprintf "%S" src) b a
+      | _ -> Alcotest.failf "%S: both parsers must reject it" src)
+    [ ""; " "; "{"; "{\"a\""; "{\"a\":"; "{\"a\":1"; "{\"a\":1,"; "[1,"; "[1 2]";
+      "\"abc"; "\"a\\"; "\"a\\q\""; "\"\\u12\""; "\"\\u12g4\""; "\"\001\"";
+      "tru"; "nul"; "fals"; "-"; "1.2.3"; "1e"; "--1"; "1+2"; "99999999999999999999";
+      "{1:2}"; "{\"a\" 1}"; "[]]"; "x"; "1 2" ]
+
 (* ---- protocol ----------------------------------------------------- *)
 
 let test_protocol_parse () =
@@ -435,7 +538,13 @@ let () =
   Alcotest.run "serve"
     [ ("json",
        [ Alcotest.test_case "values and errors" `Quick test_json_values;
-         QCheck_alcotest.to_alcotest prop_json_roundtrip ]);
+         QCheck_alcotest.to_alcotest prop_json_roundtrip;
+         Alcotest.test_case "error texts = the retired parser" `Quick
+           test_parse_errors_match_ref;
+         QCheck_alcotest.to_alcotest prop_printer_matches_ref;
+         QCheck_alcotest.to_alcotest prop_escape_matches_ref;
+         QCheck_alcotest.to_alcotest prop_parse_arbitrary_matches_ref;
+         QCheck_alcotest.to_alcotest prop_parse_mutated_matches_ref ]);
       ("protocol",
        [ Alcotest.test_case "request parsing" `Quick test_protocol_parse ]);
       ("admission",

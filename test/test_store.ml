@@ -436,6 +436,86 @@ let test_memo_kernel_policy () =
   S.Memo.reset_all ();
   Alcotest.(check int) "reset_all empties every table" 0 (S.Memo.length free)
 
+(* ---- the identity-keyed digest cache ------------------------------ *)
+
+let test_digest_cache () =
+  let calls = ref 0 in
+  let digest v =
+    incr calls;
+    S.Digest_cache.marshal_hex v
+  in
+  let t = S.Digest_cache.create () in
+  let keys = List.init 67 (fun i -> [ i; i + 1 ]) in
+  let first = List.hd keys in
+  let d = S.Digest_cache.find t first digest in
+  Alcotest.(check string) "the value's own digest" (S.Digest_cache.marshal_hex first) d;
+  ignore (S.Digest_cache.find t first digest);
+  Alcotest.(check int) "a physical hit digests nothing" 1 !calls;
+  let copy = [ 0; 1 ] in
+  Alcotest.(check bool) "the copy is distinct" false (copy == first);
+  Alcotest.(check string) "an equal copy gets the same key" d
+    (S.Digest_cache.find t copy digest);
+  Alcotest.(check int) "an equal copy digests afresh" 2 !calls;
+  List.iter (fun k -> ignore (S.Digest_cache.find t k digest)) (List.tl keys);
+  let st = S.Digest_cache.stats t in
+  Alcotest.(check int) "capacity" 64 st.S.Digest_cache.capacity;
+  Alcotest.(check int) "entries bounded" 64 st.S.Digest_cache.entries;
+  Alcotest.(check int) "evictions past capacity" 4 st.S.Digest_cache.evictions;
+  let before = !calls in
+  Alcotest.(check string) "an evicted key recomputes the same digest" d
+    (S.Digest_cache.find t first digest);
+  Alcotest.(check int) "one recompute" (before + 1) !calls
+
+let test_memo_keys_of_equal_copies () =
+  (* a cached key is always the uncached digest of the value looked
+     up; a structurally equal, physically distinct env or AST with the
+     same marshal image gets the original's key *)
+  let app = Apps.Iis.setup () in
+  let model = Apps.Iis.model app in
+  let env = Apps.Iis.scenario ~path:Apps.Iis.attack_path in
+  let env' = Apps.Iis.scenario ~path:Apps.Iis.attack_path in
+  Alcotest.(check bool) "the envs are distinct" false (env == env');
+  let key = Pfsm.Analysis.memo_key model env in
+  Alcotest.(check string) "uncached analysis key"
+    (S.Digest_cache.marshal_hex model ^ S.Digest_cache.marshal_hex env) key;
+  Alcotest.(check string) "equal env, same analysis key" key
+    (Pfsm.Analysis.memo_key model env');
+  Alcotest.(check string) "warm analysis key" key (Pfsm.Analysis.memo_key model env);
+  let benign = Apps.Iis.scenario ~path:Apps.Iis.benign_path in
+  Alcotest.(check string) "another env keys by its own image"
+    (S.Digest_cache.marshal_hex model ^ S.Digest_cache.marshal_hex benign)
+    (Pfsm.Analysis.memo_key model benign);
+  let config = Staticcheck.Linter.corpus_config in
+  let uncached (label, f, config) = S.Digest_cache.marshal_hex (label, f, config) in
+  List.iter
+    (fun (label, (f : Minic.Ast.func)) ->
+      let key = Staticcheck.Linter.report_key ~config label f in
+      Alcotest.(check string) (label ^ ": uncached lint key") (uncached (label, f, config)) key;
+      Alcotest.(check string) (label ^ ": warm lint key") key
+        (Staticcheck.Linter.report_key ~config label f);
+      (* serve's variant lints once keyed by the request's copy of the
+         label; the corpus label shares nothing with the AST or config,
+         so both spellings give one key *)
+      Alcotest.(check string) (label ^ ": a copied label keys the same") key
+        (uncached (label ^ "", f, config));
+      (* a copy of the whole triple keeps its sharing, hence its image *)
+      let ((label', f', config') as copy) =
+        Marshal.from_string (Marshal.to_string (label, f, config) []) 0
+      in
+      Alcotest.(check bool) "the copies are distinct" false
+        (f == f' || label == label' || config == config');
+      Alcotest.(check string) (label ^ ": equal copies, same lint key") key
+        (Staticcheck.Linter.report_key ~config:config' label' f');
+      Alcotest.(check string) (label ^ ": copy's own image") (uncached copy)
+        (Staticcheck.Linter.report_key ~config:config' label' f');
+      (* an AST copied alone shares nothing with the config: its image,
+         and so its key, may differ, and the cache must not hide that *)
+      let f'' : Minic.Ast.func = Marshal.from_string (Marshal.to_string f []) 0 in
+      Alcotest.(check string) (label ^ ": a lone copy keys by its own image")
+        (uncached (label, f'', config))
+        (Staticcheck.Linter.report_key ~config label f''))
+    Minic.Corpus.all
+
 let () =
   Alcotest.run "store"
     [ ("record",
@@ -455,7 +535,10 @@ let () =
            test_memo_compute_once;
          Alcotest.test_case "a raise leaves no entry" `Quick
            test_memo_raise_leaves_no_entry;
-         Alcotest.test_case "kernel bypass policy" `Quick test_memo_kernel_policy ]);
+         Alcotest.test_case "kernel bypass policy" `Quick test_memo_kernel_policy;
+         Alcotest.test_case "digest cache: identity, bound" `Quick test_digest_cache;
+         Alcotest.test_case "keys of equal copies agree" `Quick
+           test_memo_keys_of_equal_copies ]);
       ("handle",
        [ Alcotest.test_case "cached flow" `Quick test_handle_cached;
          Alcotest.test_case "sim-plan bypass" `Quick
